@@ -89,24 +89,25 @@ final class Schema {
   /** Max definition level across all columns (def-stream bit width). */
   def maxDefOverall: Int = if (columnsBuf.isEmpty) 1 else columnsBuf.map(_.maxDef).max
 
-  /** Leaf columns under a record-rooted object path (descending through
-    * union object-alternatives); empty if the path is not in the schema.
+  /** The node at a record-rooted object path, descending through union
+    * object-alternatives (the paper's union access rule); None if the path
+    * is not in the schema.
     */
-  def leavesUnderPath(path: Seq[String]): Array[Int] = {
+  def nodeAt(path: Seq[String]): Option[SchemaNode] = {
     def descend(node: SchemaNode, p: List[String]): Option[SchemaNode] = (node, p) match {
       case (n, Nil) => Some(n)
       case (on: ObjectNode, f :: rest) => on.fields.get(f).flatMap(descend(_, rest))
       case (un: UnionNode, p2) => un.alternatives.get(Kind.Obj).flatMap(descend(_, p2))
       case _ => None
     }
-    def leaves(n: SchemaNode): Seq[Int] = n match {
-      case at: AtomicNode => Seq(at.columnId)
-      case on: ObjectNode => on.fields.values.flatMap(leaves).toSeq
-      case an: ArrayNode  => if (an.item == null) Nil else leaves(an.item)
-      case un: UnionNode  => un.alternatives.values.flatMap(leaves).toSeq
-    }
-    descend(root, path.toList).map(leaves(_).toArray.sorted).getOrElse(Array.emptyIntArray)
+    descend(root, path.toList)
   }
+
+  /** Leaf columns under a record-rooted object path; empty if the path is
+    * not in the schema.
+    */
+  def leavesUnderPath(path: Seq[String]): Array[Int] =
+    nodeAt(path).map(Schema.leavesUnder).getOrElse(Array.emptyIntArray)
 
   private[core] def registerLoaded(m: ColumnMeta): Unit = {
     require(m.columnId == columnsBuf.length, "column ids must load in order")
@@ -229,6 +230,19 @@ final class Schema {
 }
 
 object Schema {
+  /** Leaf column ids under a node, ascending. */
+  def leavesUnder(node: SchemaNode): Array[Int] = {
+    val buf = mutable.ArrayBuffer.empty[Int]
+    def walk(n: SchemaNode): Unit = n match {
+      case at: AtomicNode => buf += at.columnId
+      case on: ObjectNode => on.fields.valuesIterator.foreach(walk)
+      case an: ArrayNode  => if (an.item != null) walk(an.item)
+      case un: UnionNode  => un.alternatives.valuesIterator.foreach(walk)
+    }
+    walk(node)
+    buf.toArray.sorted
+  }
+
   def deserialize(bytes: Array[Byte]): Schema = {
     val in = new BufReader(bytes)
     val s = new Schema

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Shreds a record into per-leaf (definition level, value) token streams per
   * the extended Dremel format (§3.2): no repetition levels — arrays are
   * delimiter-encoded; union alternatives sit at the same level as the value;
@@ -21,15 +19,7 @@ final class Striper(schema: Schema) {
   private def leavesUnder(node: SchemaNode): Array[Int] = {
     val cached = leavesCache.get(node)
     if (cached != null) return cached
-    val buf = mutable.ArrayBuffer.empty[Int]
-    def walk(n: SchemaNode): Unit = n match {
-      case at: AtomicNode => buf += at.columnId
-      case on: ObjectNode => on.fields.valuesIterator.foreach(walk)
-      case an: ArrayNode  => if (an.item != null) walk(an.item)
-      case un: UnionNode  => un.alternatives.valuesIterator.foreach(walk)
-    }
-    walk(node)
-    val arr = buf.toArray
+    val arr = Schema.leavesUnder(node)
     leavesCache.put(node, arr)
     arr
   }

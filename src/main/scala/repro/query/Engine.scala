@@ -54,33 +54,13 @@ object Engine {
     } ++ plan.group.toSeq.flatMap(g => g.keys.map(_._2) ++ g.aggs.map(_.expr).filter(_ != null)) ++
       plan.select.map(_._2)
 
-  /** Resolve a record-rooted path to its schema subtree (descending through
-    * union object-alternatives, the paper's union access rule).
-    */
-  private def resolve(node: SchemaNode, path: List[String]): Option[SchemaNode] = path match {
-    case Nil => Some(node)
-    case f :: rest => node match {
-      case on: ObjectNode => on.fields.get(f).flatMap(resolve(_, rest))
-      case un: UnionNode  => un.alternatives.get(Kind.Obj).flatMap(resolve(_, f :: rest))
-      case _              => None
-    }
-  }
-
-  private def leavesUnder(node: SchemaNode): Seq[Int] = node match {
-    case at: AtomicNode => Seq(at.columnId)
-    case on: ObjectNode => on.fields.values.flatMap(leavesUnder).toSeq
-    case an: ArrayNode  => if (an.item == null) Nil else leavesUnder(an.item)
-    case un: UnionNode  => un.alternatives.values.flatMap(leavesUnder).toSeq
-  }
-
   /** Projection: global column ids needed by the plan; null = whole record. */
   def neededColumns(ds: LsmDataset, plan: PlanSpec): Array[Int] = {
     val paths = allExprs(plan).flatMap(Expr.rootPaths(_, RootVar)).toSet
     if (paths.contains(Nil)) return null
     val ids = mutable.SortedSet.empty[Int]
     paths.foreach { p =>
-      if (p != List(ds.pkField))
-        resolve(ds.schema.root, p).foreach(n => ids ++= leavesUnder(n))
+      if (p != List(ds.pkField)) ids ++= ds.schema.leavesUnderPath(p)
     }
     ids.toArray
   }
@@ -101,7 +81,7 @@ object Engine {
         conjuncts(pred).foreach {
           case Cmp(op, p @ Path(_, _), Lit(v)) =>
             Expr.rootPaths(p, RootVar).headOption.foreach { path =>
-              resolve(ds.schema.root, path) match {
+              ds.schema.nodeAt(path) match {
                 case Some(at: AtomicNode) if at.columnId >= 0 =>
                   val m = ds.schema.column(at.columnId)
                   if (m.arrayLevels.isEmpty && typeMatches(m.tpe, v)) {
@@ -131,9 +111,17 @@ object Engine {
 
   // -------------------------------------------------------------- running
 
-  def run(ds: LsmDataset, plan: PlanSpec, mode: ExecMode): QueryResult = mode match {
-    case ExecMode.Interpreted => runInterpreted(ds, plan)
-    case ExecMode.CodeGen     => runCodeGen(ds, plan)
+  def run(ds: LsmDataset, plan: PlanSpec, mode: ExecMode): QueryResult = {
+    val scanIter = ds.scan(neededColumns(ds, plan), zonePredicate(ds, plan))
+    if (isPureCount(plan)) {
+      var n = 0L
+      while (scanIter.hasNext) { scanIter.next(); n += 1 }
+      val g = plan.group.get
+      finish(plan, g.aggs.map(_.as), Iterator.single(Array.fill[JValue](g.aggs.length)(JLong(n))))
+    } else mode match {
+      case ExecMode.Interpreted => runInterpreted(plan, scanIter)
+      case ExecMode.CodeGen     => runCodeGen(ds, plan, scanIter)
+    }
   }
 
   /** COUNT(*)-only plans touch no value columns (AMAX: Page 0 only, §6.4.1). */
@@ -141,17 +129,19 @@ object Engine {
     plan.pipeline.isEmpty && plan.select.isEmpty &&
       plan.group.exists(g => g.keys.isEmpty && g.aggs.forall(_.kind == "count"))
 
-  private def groupTable(g: GroupSpec): mutable.LinkedHashMap[Vector[JValue], Array[JValue]] =
-    mutable.LinkedHashMap.empty
+  private type GroupTable = mutable.LinkedHashMap[Vector[JValue], Array[JValue]]
 
-  private def updateGroup(table: mutable.LinkedHashMap[Vector[JValue], Array[JValue]],
-                          g: GroupSpec, key: Vector[JValue], vals: Array[JValue]): Unit = {
-    val acc = table.getOrElseUpdate(key, Array.fill[JValue](g.aggs.length)(JNull))
+  /** Aggregates of a group that has seen no row: COUNT 0, MAX/MIN NULL. */
+  private def emptyAccumulators(g: GroupSpec): Array[JValue] =
+    g.aggs.map(a => if (a.kind == "count") JLong(0): JValue else JNull).toArray
+
+  private def updateGroup(table: GroupTable, g: GroupSpec, key: Vector[JValue], vals: Array[JValue]): Unit = {
+    val acc = table.getOrElseUpdate(key, emptyAccumulators(g))
     var i = 0
     while (i < g.aggs.length) {
       g.aggs(i).kind match {
         case "count" =>
-          acc(i) = JLong((acc(i) match { case JLong(c) => c; case _ => 0L }) + 1)
+          acc(i) = JLong(acc(i).asInstanceOf[JLong].v + 1)
         case "max" =>
           if (vals(i) != JNull && (acc(i) == JNull || Expr.truthy(Expr.compare(">", vals(i), acc(i)))))
             acc(i) = vals(i)
@@ -163,37 +153,65 @@ object Engine {
     }
   }
 
-  private def finish(plan: PlanSpec, cols: Seq[String], rows: Seq[Array[JValue]]): QueryResult = {
-    var out = rows
-    plan.orderBy.foreach { case (col, desc) =>
-      val i = cols.indexOf(col)
-      out = out.sortWith { (a, b) =>
-        val c = Expr.compare(if (desc) ">" else "<", a(i), b(i))
-        if (c == JBool(true)) true
-        else if (Expr.compare("==", a(i), b(i)) == JBool(true))
-          // stable tie-break on the remaining columns' rendering
-          a.map(_.render).mkString("|") < b.map(_.render).mkString("|")
-        else false
-      }
+  /** The output of either engine: one row per group (a global aggregate
+    * yields one row even over empty input), or the selected rows.
+    */
+  private def result(plan: PlanSpec, table: GroupTable, selected: Iterable[Array[JValue]]): QueryResult =
+    plan.group match {
+      case Some(gs) =>
+        val cols = gs.keys.map(_._1) ++ gs.aggs.map(_.as)
+        val rows =
+          if (gs.keys.isEmpty && table.isEmpty) Iterator.single(emptyAccumulators(gs))
+          else table.iterator.map { case (k, acc) => (k ++ acc).toArray }
+        finish(plan, cols, rows)
+      case None =>
+        finish(plan, plan.select.map(_._1), selected.iterator)
     }
-    plan.limit.foreach(n => out = out.take(n))
-    QueryResult(cols, out)
+
+  /** ORDER BY … LIMIT. Rows are ordered by the order column under
+    * [[Expr.ValueOrder]], flipped under DESC (so NULLs come last), and ties
+    * are broken by comparing all columns left to right under ValueOrder, so
+    * the output does not depend on the order rows arrive in. With a LIMIT k
+    * a heap keeps the k best rows seen so far (O(n log k)), and only those
+    * are sorted.
+    */
+  private[query] def finish(plan: PlanSpec, cols: Seq[String], rows: Iterator[Array[JValue]]): QueryResult = {
+    val k = plan.limit.getOrElse(Int.MaxValue)
+    if (k <= 0) return QueryResult(cols, Nil)
+    plan.orderBy match {
+      case None => QueryResult(cols, rows.take(k).toSeq)
+      case Some((col, desc)) =>
+        val i = cols.indexOf(col)
+        require(i >= 0, s"ORDER BY column $col is not an output column (${cols.mkString(",")})")
+        val order: Ordering[Array[JValue]] = (a, b) => {
+          val c = Expr.ValueOrder.compare(a(i), b(i))
+          if (c != 0) { if (desc) -c else c }
+          else {
+            var j = 0
+            var t = 0
+            while (t == 0 && j < a.length) { t = Expr.ValueOrder.compare(a(j), b(j)); j += 1 }
+            t
+          }
+        }
+        val kept =
+          if (plan.limit.isEmpty) rows.toArray
+          else {
+            // The head is the worst row kept; a row enters only if it beats it.
+            val heap = new java.util.PriorityQueue[Array[JValue]](order.reverse)
+            rows.foreach { r =>
+              if (heap.size < k) heap.add(r)
+              else if (order.compare(r, heap.peek) < 0) { heap.poll(); heap.add(r) }
+            }
+            heap.toArray(new Array[Array[JValue]](0))
+          }
+        java.util.Arrays.sort(kept, order)
+        QueryResult(cols, kept.toSeq)
+    }
   }
 
   // --------------------------------------------------- interpreted engine
 
-  private def runInterpreted(ds: LsmDataset, plan: PlanSpec): QueryResult = {
-    val projection = neededColumns(ds, plan)
-    val zone = zonePredicate(ds, plan)
-    val scanIter = ds.scan(projection, zone)
-
-    if (isPureCount(plan)) {
-      var n = 0L
-      while (scanIter.hasNext) { scanIter.next(); n += 1 }
-      val g = plan.group.get
-      return finish(plan, g.aggs.map(_.as), Seq(Array[JValue](JLong(n))))
-    }
-
+  private def runInterpreted(plan: PlanSpec, scanIter: Iterator[ScanTuple]): QueryResult = {
     val varNames = RootVar :: plan.pipeline.collect {
       case UnnestOp(_, as) => as
       case AssignOp(as, _) => as
@@ -204,7 +222,7 @@ object Engine {
     // model §5 starts from): each operator consumes a buffer of env rows and
     // produces a new buffer.
     val g = plan.group
-    val table = g.map(groupTable).orNull
+    val table: GroupTable = mutable.LinkedHashMap.empty
     val outRows = mutable.ArrayBuffer.empty[Array[JValue]]
     val batch = mutable.ArrayBuffer.empty[Array[JValue]]
 
@@ -255,14 +273,7 @@ object Engine {
     }
     flushBatch()
 
-    g match {
-      case Some(gs) =>
-        val cols = gs.keys.map(_._1) ++ gs.aggs.map(_.as)
-        val rows = table.map { case (k, acc) => (k ++ acc).toArray }.toSeq
-        finish(plan, cols, rows)
-      case None =>
-        finish(plan, plan.select.map(_._1), outRows.toSeq)
-    }
+    result(plan, table, outRows)
   }
 
   private def existsVars(e: Expr): List[String] = e match {
@@ -277,18 +288,7 @@ object Engine {
 
   // ------------------------------------------------------ compiled engine
 
-  private def runCodeGen(ds: LsmDataset, plan: PlanSpec): QueryResult = {
-    val projection = neededColumns(ds, plan)
-    val zone = zonePredicate(ds, plan)
-    val scanIter = ds.scan(projection, zone)
-
-    if (isPureCount(plan)) {
-      var n = 0L
-      while (scanIter.hasNext) { scanIter.next(); n += 1 }
-      val g = plan.group.get
-      return finish(plan, g.aggs.map(_.as), Seq(Array[JValue](JLong(n))))
-    }
-
+  private def runCodeGen(ds: LsmDataset, plan: PlanSpec, scanIter: Iterator[ScanTuple]): QueryResult = {
     // Distinct record-rooted paths become pre-resolved accessor slots: on
     // columnar layouts each accessor assembles only its own subtree from the
     // column shapes (no full-record assembly — §5's key saving).
@@ -301,7 +301,7 @@ object Engine {
       if (p == List(ds.pkField)) (t: ScanTuple) => JLong(t.key)
       else if (p.isEmpty) (t: ScanTuple) => t.record()
       else if (columnar) {
-        resolve(ds.schema.root, p) match {
+        ds.schema.nodeAt(p) match {
           case Some(node) =>
             (t: ScanTuple) => {
               val sh = t.shapes()
@@ -359,7 +359,7 @@ object Engine {
     val names = (pathSlots ++ extraVars).distinct.toArray
 
     val g = plan.group
-    val table = g.map(groupTable).orNull
+    val table: GroupTable = mutable.LinkedHashMap.empty
     val outRows = mutable.ArrayBuffer.empty[Array[JValue]]
 
     // Fuse the pipeline into one closure chain ending at the group operator
@@ -409,13 +409,6 @@ object Engine {
       }
     }
 
-    g match {
-      case Some(gs) =>
-        val cols = gs.keys.map(_._1) ++ gs.aggs.map(_.as)
-        val rows = table.map { case (k, acc) => (k ++ acc).toArray }.toSeq
-        finish(plan, cols, rows)
-      case None =>
-        finish(plan, plan.select.map(_._1), outRows.toSeq)
-    }
+    result(plan, table, outRows)
   }
 }

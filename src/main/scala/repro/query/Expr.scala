@@ -38,29 +38,78 @@ object Expr {
 
   def truthy(v: JValue): Boolean = v == JBool(true)
 
-  private def numeric(v: JValue): Option[Double] = v match {
-    case JLong(l)   => Some(l.toDouble)
-    case JDouble(d) => Some(d)
-    case _          => None
+  /** Two numbers by value: two longs exactly, two doubles by `Double.compare`
+    * (NaN above +Inf, -0.0 below 0.0), and a long against a double exactly,
+    * so that the order stays transitive above 2^53.
+    */
+  private def compareNumbers(l: JValue, r: JValue): Int = (l, r) match {
+    case (JLong(a), JLong(b))     => java.lang.Long.compare(a, b)
+    case (JDouble(a), JDouble(b)) => java.lang.Double.compare(a, b)
+    case (JLong(a), JDouble(b))   => compareLongDouble(a, b)
+    case (JDouble(a), JLong(b))   => -compareLongDouble(b, a)
+    case _                        => throw new IllegalArgumentException(s"not two numbers: $l, $r")
   }
 
+  private def compareLongDouble(a: Long, b: Double): Int = {
+    // Rounding is monotone, so a differing sign is exact; on a tie b is an
+    // integral double in [-2^63, 2^63], and only 2^63 (= Long.MaxValue.toDouble)
+    // lies above every long.
+    val c = java.lang.Double.compare(a.toDouble, b)
+    if (c != 0) c
+    else if (b >= Long.MaxValue.toDouble) -1
+    else java.lang.Long.compare(a, b.toLong)
+  }
+
+  private def isNumber(v: JValue): Boolean = v.isInstanceOf[JLong] || v.isInstanceOf[JDouble]
+
+  /** Marks a pair of values that [[compare]] cannot order. */
+  private final val Incomparable = Int.MinValue
+
   def compare(op: String, l: JValue, r: JValue): JValue = {
-    val res: Option[Int] = (l, r) match {
-      case (JString(a), JString(b)) => Some(a.compareTo(b))
-      case (JBool(a), JBool(b))     => Some(java.lang.Boolean.compare(a, b))
-      case _ =>
-        (numeric(l), numeric(r)) match {
-          case (Some(a), Some(b)) => Some(java.lang.Double.compare(a, b))
-          case _                  => None
-        }
+    val c = (l, r) match {
+      case (JString(a), JString(b))           => a.compareTo(b)
+      case (JBool(a), JBool(b))               => java.lang.Boolean.compare(a, b)
+      case _ if isNumber(l) && isNumber(r)    => compareNumbers(l, r)
+      case _                                  => Incomparable
     }
-    res match {
-      case None => if (op == "==" && l == r) JBool(true) else if (op == "!=" && l != r) JBool(true) else JNull
-      case Some(c) =>
-        JBool(op match {
-          case ">" => c > 0; case ">=" => c >= 0; case "<" => c < 0; case "<=" => c <= 0
-          case "==" => c == 0; case "!=" => c != 0
-        })
+    if (c == Incomparable)
+      if (op == "==" && l == r) JBool(true) else if (op == "!=" && l != r) JBool(true) else JNull
+    else
+      JBool(op match {
+        case ">" => c > 0; case ">=" => c >= 0; case "<" => c < 0; case "<=" => c <= 0
+        case "==" => c == 0; case "!=" => c != 0
+      })
+  }
+
+  /** The total order of ORDER BY and of its tie-break: null < boolean <
+    * number < string < array/object. Numbers compare as in [[compare]]; a
+    * long and a double of equal value put the long first. Arrays and objects
+    * compare by their JSON rendering, as the last resort.
+    */
+  object ValueOrder extends Ordering[JValue] {
+    private def rank(v: JValue): Int = v match {
+      case JNull                  => 0
+      case _: JBool               => 1
+      case _: JLong | _: JDouble  => 2
+      case _: JString             => 3
+      case _: JArray | _: JObject => 4
+    }
+
+    def compare(a: JValue, b: JValue): Int = (a, b) match {
+      case (JLong(x), JLong(y))     => java.lang.Long.compare(x, y)
+      case (JString(x), JString(y)) => x.compareTo(y)
+      case _ =>
+        val ra = rank(a)
+        val c = Integer.compare(ra, rank(b))
+        if (c != 0) c
+        else ra match {
+          case 0 => 0
+          case 1 => java.lang.Boolean.compare(a == JBool(true), b == JBool(true))
+          case 2 =>
+            val n = compareNumbers(a, b)
+            if (n != 0) n else java.lang.Boolean.compare(a.isInstanceOf[JDouble], b.isInstanceOf[JDouble])
+          case _ => a.render.compareTo(b.render)
+        }
     }
   }
 

@@ -65,6 +65,8 @@ class EngineSpec extends SparkSpec {
     "tweet_2" -> Seq("Q1", "Q2g", "Q3g"),
     "wos"     -> Seq("Q1", "Q2g", "Q3g", "Q4g"))
 
+  private val sensorsDay = 1556400000000L + 100L * 3600
+
   private def planOf(ds: String, q: String): PlanSpec = (ds, q) match {
     case (_, "Q1") if ds != "sensors" => Queries.pureCount
     case ("cell", "Q2g")    => Queries.cellQ2Grouped
@@ -72,7 +74,7 @@ class EngineSpec extends SparkSpec {
     case ("sensors", "Q1")  => Queries.sensorsQ1
     case ("sensors", "Q2")  => Queries.sensorsQ2
     case ("sensors", "Q3g") => Queries.sensorsQ3Grouped
-    case ("sensors", "Q4g") => Queries.sensorsQ4Grouped(1556400000000L + 100L * 3600)
+    case ("sensors", "Q4g") => Queries.sensorsQ4Grouped(sensorsDay)
     case (("tweet_1" | "tweet_2"), "Q2g") => Queries.tweetQ2Grouped
     case (("tweet_1" | "tweet_2"), "Q3g") => Queries.tweetQ3Grouped
     case ("wos", "Q2g") => Queries.wosQ2Grouped
@@ -90,6 +92,65 @@ class EngineSpec extends SparkSpec {
       for (layout <- LayoutKind.all; mode <- Seq(ExecMode.Interpreted, ExecMode.CodeGen)) {
         val got = canonical(Engine.run(dataset(dsName, layout), plan, mode))
         assert(got == reference, s"layout=${layout.name} mode=$mode")
+      }
+    }
+  }
+
+  // 1b. ORDER BY … LIMIT plans ------------------------------------------
+
+  private val topKPlans: Seq[(String, String, PlanSpec, PlanSpec)] = Seq(
+    ("cell", "Q2", Queries.cellQ2, Queries.cellQ2Grouped),
+    ("sensors", "Q3", Queries.sensorsQ3, Queries.sensorsQ3Grouped),
+    ("sensors", "Q4", Queries.sensorsQ4(sensorsDay), Queries.sensorsQ4Grouped(sensorsDay)),
+    ("tweet_1", "Q2", Queries.tweetQ2, Queries.tweetQ2Grouped),
+    ("tweet_1", "Q3", Queries.tweetQ3, Queries.tweetQ3Grouped),
+    ("tweet_2", "Q2", Queries.tweetQ2, Queries.tweetQ2Grouped),
+    ("tweet_2", "Q3", Queries.tweetQ3, Queries.tweetQ3Grouped),
+    ("wos", "Q2", Queries.wosQ2, Queries.wosQ2Grouped),
+    ("wos", "Q3", Queries.wosQ3, Queries.wosQ3Grouped),
+    ("wos", "Q4", Queries.wosQ4, Queries.wosQ4Grouped))
+
+  private def rendered(r: QueryResult): Seq[String] = r.rows.map(_.map(_.render).mkString("|"))
+
+  for ((dsName, q, plan, grouped) <- topKPlans) {
+    test(s"$dsName/$q top-k: the head of the sorted groups, in the same order on every layout and mode") {
+      val (col, desc) = plan.orderBy.get
+      val all = Engine.run(dataset(dsName, LayoutKind.Open), grouped, ExecMode.Interpreted)
+      val i = all.columns.indexOf(col)
+      // The documented order: the order column (flipped under DESC), then
+      // every column left to right, all under ValueOrder.
+      val byOrderColumn = Ordering.by((r: Array[JValue]) => r(i))(
+        if (desc) Expr.ValueOrder.reverse else Expr.ValueOrder)
+      val byColumns = Ordering.by((r: Array[JValue]) => r.toSeq)(Ordering.Implicits.seqOrdering(Expr.ValueOrder))
+      val expected = all.rows.sorted(byOrderColumn.orElse(byColumns)).take(plan.limit.get)
+        .map(_.map(_.render).mkString("|"))
+      assert(expected.nonEmpty)
+      for (layout <- LayoutKind.all; mode <- Seq(ExecMode.Interpreted, ExecMode.CodeGen))
+        assert(rendered(Engine.run(dataset(dsName, layout), plan, mode)) == expected,
+          s"layout=${layout.name} mode=$mode")
+    }
+  }
+
+  test("longs above 2^53 and global aggregates over empty input: same answer on every layout and mode") {
+    val big = 1L << 53
+    def agg(pred: Expr, aggs: Agg*) = PlanSpec(List(FilterOp(pred)), group = Some(GroupSpec(Nil, aggs)))
+    val countX = agg(Cmp("==", Expr.path("t.x"), Lit(JLong(big + 1))), Agg("count", null, "cnt"))
+    val noneD = agg(Cmp(">=", Expr.path("t.d"), Lit(JLong(6))),
+      Agg("count", null, "cnt"), Agg("max", Expr.path("t.x"), "mx"), Agg("min", Expr.path("t.x"), "mn"))
+    val allX = agg(Cmp("==", Expr.path("t.x"), Lit(JLong(big))), Agg("count", null, "cnt"))
+    for (layout <- LayoutKind.all) {
+      val dir = java.nio.file.Files.createTempDirectory(s"eng-big-${layout.name}").toFile
+      val ds = new LsmDataset("big", dir, layout, LsmConfig(pageSize = 16 * 1024,
+        memBudgetBytes = 128 * 1024, amaxLeafRecords = 120), new BufferCache(64))
+      (0L until 10L).foreach(i => ds.upsert(JObject.of("id" -> JLong(i), "x" -> JLong(big), "d" -> JLong(5))))
+      ds.flush()
+      if (layout == LayoutKind.Amax) assert(Engine.zonePredicate(ds, noneD) != null)
+      for (mode <- Seq(ExecMode.Interpreted, ExecMode.CodeGen)) {
+        def rows(p: PlanSpec) = Engine.run(ds, p, mode).rows.map(_.toSeq)
+        val where = s"layout=${layout.name} mode=$mode"
+        assert(rows(countX) == Seq(Seq(JLong(0))), where)
+        assert(rows(noneD) == Seq(Seq(JLong(0), JNull, JNull)), where)
+        assert(rows(allX) == Seq(Seq(JLong(10))), where)
       }
     }
   }
@@ -189,7 +250,7 @@ class EngineSpec extends SparkSpec {
   test("AMAX zone maps prune leaves for the sensors time-range query without changing results") {
     val amax = dataset("sensors", LayoutKind.Amax)
     amax.forceFullMerge()
-    val plan = Queries.sensorsQ4Grouped(1556400000000L + 100L * 3600)
+    val plan = Queries.sensorsQ4Grouped(sensorsDay)
     assert(Engine.zonePredicate(amax, plan) != null, "range filter must yield a zone predicate")
     val open = dataset("sensors", LayoutKind.Open)
     assert(canonical(Engine.run(amax, plan, ExecMode.CodeGen)) ==

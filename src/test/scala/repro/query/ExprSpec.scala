@@ -23,6 +23,36 @@ class ExprSpec extends AnyFunSuite {
     assert(Expr.compare("<=", JDouble(2.0), JLong(2)) == JBool(true))
   }
 
+  test("two longs compare exactly above 2^53") {
+    val big = 1L << 53
+    assert(Expr.compare("==", JLong(big), JLong(big + 1)) == JBool(false))
+    assert(Expr.compare("!=", JLong(big), JLong(big + 1)) == JBool(true))
+    assert(Expr.compare("<", JLong(big), JLong(big + 1)) == JBool(true))
+    assert(Expr.compare(">=", JLong(Long.MaxValue), JLong(Long.MaxValue - 1)) == JBool(true))
+    // a long against a double compares by exact value too
+    assert(Expr.compare(">", JLong(big + 1), JDouble(big.toDouble)) == JBool(true))
+    assert(Expr.compare("<", JLong(Long.MaxValue), JDouble(math.pow(2, 63))) == JBool(true))
+    assert(Expr.compare("==", JLong(big), JDouble(big.toDouble)) == JBool(true))
+  }
+
+  test("ValueOrder: null < boolean < number < string < array/object") {
+    val ordered = Seq[JValue](JNull, JBool(false), JBool(true), JLong(-5), JDouble(2.5), JLong(3),
+      JString(""), JString("a"), JArray.of(JLong(1)), JObject.of("a" -> JLong(1)))
+    for (i <- ordered.indices; j <- ordered.indices)
+      assert(Integer.signum(Expr.ValueOrder.compare(ordered(i), ordered(j))) == Integer.compare(i, j),
+        s"${ordered(i)} vs ${ordered(j)}")
+  }
+
+  test("ValueOrder: NaN and -0.0 have fixed places, longs above 2^53 stay apart") {
+    val big = 1L << 53
+    val nums = Seq[JValue](JDouble(Double.NegativeInfinity), JLong(Long.MinValue), JDouble(-0.0),
+      JLong(0), JDouble(0.0), JLong(big), JDouble(big.toDouble), JLong(big + 1), JLong(Long.MaxValue),
+      JDouble(Double.PositiveInfinity), JDouble(Double.NaN))
+    for (i <- nums.indices; j <- nums.indices)
+      assert(Integer.signum(Expr.ValueOrder.compare(nums(i), nums(j))) == Integer.compare(i, j),
+        s"${nums(i)} vs ${nums(j)}")
+  }
+
   test("incompatible comparisons yield NULL (the paper's 10 > \"ten\")") {
     assert(Expr.compare(">", JLong(10), JString("ten")) == JNull)
     assert(Expr.compare("<", JBool(true), JLong(1)) == JNull)
