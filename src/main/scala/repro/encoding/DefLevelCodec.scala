@@ -12,7 +12,10 @@ package repro.encoding
   */
 final class DefLevelWriter(maxLevel: Int) {
   private val bitWidth = math.max(1, 32 - Integer.numberOfLeadingZeros(math.max(maxLevel, 1)))
-  private val pending = new java.util.ArrayList[Integer]()
+  // Literal buffer: a flush happens once it holds ≥ LiteralCap values, and at
+  // most 7 are added at a time (a stretch of ≥ 8 equal values is an RLE run).
+  private val pending = new Array[Int](DefLevelWriter.LiteralCap + 7)
+  private var pendingLen = 0
   private val runs = new BufWriter(64)
   private var count = 0
   private var runValue = -1
@@ -21,18 +24,18 @@ final class DefLevelWriter(maxLevel: Int) {
   def numValues: Int = count
 
   private def flushLiterals(): Unit = {
-    if (!pending.isEmpty) {
-      runs.writeVarInt((pending.size << 1) | 1)
+    if (pendingLen > 0) {
+      runs.writeVarInt((pendingLen << 1) | 1)
       var acc = 0L; var accBits = 0
       var i = 0
-      while (i < pending.size) {
-        acc |= pending.get(i).toLong << accBits
+      while (i < pendingLen) {
+        acc |= pending(i).toLong << accBits
         accBits += bitWidth
         while (accBits >= 8) { runs.writeByte((acc & 0xff).toInt); acc >>>= 8; accBits -= 8 }
         i += 1
       }
       if (accBits > 0) runs.writeByte((acc & 0xff).toInt)
-      pending.clear()
+      pendingLen = 0
     }
   }
 
@@ -43,9 +46,9 @@ final class DefLevelWriter(maxLevel: Int) {
       runs.writeVarInt(runValue)
     } else {
       var i = 0
-      while (i < runLen) { pending.add(runValue); i += 1 }
+      while (i < runLen) { pending(pendingLen) = runValue; pendingLen += 1; i += 1 }
       // Cap literal runs so a reader never buffers unbounded literals.
-      if (pending.size >= 512) flushLiterals()
+      if (pendingLen >= DefLevelWriter.LiteralCap) flushLiterals()
     }
     runLen = 0
   }
@@ -57,7 +60,7 @@ final class DefLevelWriter(maxLevel: Int) {
     else { if (runLen > 0) flushRun(); runValue = level; runLen = 1 }
   }
 
-  def sizeEstimate: Int = runs.size + pending.size + 8
+  def sizeEstimate: Int = runs.size + pendingLen + 8
 
   def finish(): Array[Byte] = {
     if (runLen > 0) flushRun()
@@ -68,6 +71,11 @@ final class DefLevelWriter(maxLevel: Int) {
     out.writeBytes(runs.toArray)
     out.toArray
   }
+}
+
+object DefLevelWriter {
+  /** Literal runs are cut once they reach this many values. */
+  val LiteralCap = 512
 }
 
 /** Iterator over an encoded def-level stream; supports O(runs) `skip`. */

@@ -67,6 +67,16 @@ object PkChunk {
     while (i < n) { anti(i) = defs.next() == 0; keys(i) = keyReader.nextLong(); i += 1 }
     (keys, anti)
   }
+
+  /** Live (non-anti-matter) entries before `slot`: the position of the
+    * record at `slot` in its page's or leaf's value columns.
+    */
+  def rank(anti: Array[Boolean], slot: Int): Int = {
+    var live = 0
+    var i = 0
+    while (i < slot) { if (!anti(i)) live += 1; i += 1 }
+    live
+  }
 }
 
 /** Per-component metadata ("metadata page"): layout, entry counts, key range,

@@ -45,9 +45,12 @@ final class SecondaryIndex(val path: String) {
   private val mem = mutable.ArrayBuffer.empty[Entry]
   private val runs = mutable.ArrayBuffer.empty[Array[Entry]] // newest last
 
+  /** `path` split at its dots, once. */
+  val segments: Seq[String] = path.split('.').toSeq
+
   def extract(rec: JObject): Option[Long] = {
     var cur: JValue = rec
-    path.split('.').foreach { seg =>
+    segments.foreach { seg =>
       cur match {
         case o: JObject => cur = o.get(seg).getOrElse(JNull)
         case _          => cur = JNull
@@ -78,15 +81,34 @@ final class SecondaryIndex(val path: String) {
     }
   }
 
-  /** PKs whose indexed value lies in [lo, hi], sorted ascending (§4.6). */
+  /** PKs whose indexed value lies in [lo, hi], sorted ascending (§4.6).
+    * Each run is sorted by (value, pk), so a binary search finds its first
+    * entry at or above `lo` and the sweep stops past `hi`; the unsorted
+    * in-memory entries are scanned.
+    */
   def rangeLookup(lo: Long, hi: Long): Array[Long] = {
     val state = mutable.HashMap.empty[(Long, Long), Boolean]
     // Oldest first; later entries overwrite.
-    runs.foreach(_.foreach { e =>
-      if (e.value >= lo && e.value <= hi) state((e.value, e.pk)) = e.anti
-    })
+    runs.foreach { run =>
+      var i = firstAtLeast(run, lo)
+      while (i < run.length && run(i).value <= hi) {
+        val e = run(i)
+        state((e.value, e.pk)) = e.anti
+        i += 1
+      }
+    }
     mem.foreach { e => if (e.value >= lo && e.value <= hi) state((e.value, e.pk)) = e.anti }
     state.collect { case ((_, pk), false) => pk }.toArray.sorted
+  }
+
+  /** Index of the first entry of `run` whose value is ≥ `v` (run.length if none). */
+  private def firstAtLeast(run: Array[Entry], v: Long): Int = {
+    var lo = 0; var hi = run.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (run(mid).value < v) lo = mid + 1 else hi = mid
+    }
+    lo
   }
 
   def sizeOnDisk: Long = runs.map(_.length.toLong * 17).sum

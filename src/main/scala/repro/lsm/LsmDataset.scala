@@ -88,7 +88,7 @@ final class LsmDataset(
     val mayExist = !enablePkIndex || pkIndex.mayContain(key)
     // Only the indexed fields' old values are needed (§4.6), so columnar
     // lookups decode just those columns (still linear PK decode per leaf).
-    val projection = secondaries.flatMap(s => schema.leavesUnderPath(s.path.split('.').toSeq)).toArray
+    val projection = secondaries.flatMap(s => schema.leavesUnderPath(s.segments)).toArray
     val old = if (mayExist) { pointLookupsDuringIngest += 1; pointLookup(key, projection) } else None
     secondaries.foreach { s =>
       old.flatMap(s.extract).foreach(v => s.delete(v, key))
@@ -432,7 +432,7 @@ final class LsmDataset(
       val slot = java.util.Arrays.binarySearch(view.keys, key)
       if (slot < 0) return None
       if (view.anti(slot)) return Some(None)
-      val target = (0 until slot).count(i => !view.anti(i))
+      val target = PkChunk.rank(view.anti, slot)
       if (target > posNonAnti) { readers.foreach(_.skipRecords(target - posNonAnti)); posNonAnti = target }
       val sh = new Array[Shape](schema.numColumns)
       var i = 0
@@ -465,7 +465,7 @@ final class LsmDataset(
       val slot = java.util.Arrays.binarySearch(view.keys, key)
       if (slot < 0) return None
       if (view.anti(slot)) return Some(None)
-      val target = (0 until slot).count(i => !view.anti(i))
+      val target = PkChunk.rank(view.anti, slot)
       if (target > posNonAnti) { readers.foreach(_.skipRecords(target - posNonAnti)); posNonAnti = target }
       val sh = new Array[Shape](schema.numColumns)
       var i = 0

@@ -31,7 +31,28 @@ object AmaxLayout {
 
   final case class ColDirEntry(colId: Int, start: Int, len: Int,
                                minPrefix: Long, maxPrefix: Long,
-                               minStr: String, maxStr: String, exactStr: Boolean)
+                               minStr: String, maxStr: String, exactStr: Boolean) {
+    /** Can a value of type `tpe` in this megapage fall in [lo, hi]? */
+    def mayContain(tpe: AtomicType, lo: JValue, hi: JValue): Boolean = tpe match {
+      case AtomicType.TLong =>
+        val l = lo match { case JLong(v) => v; case _ => Long.MinValue }
+        val h = hi match { case JLong(v) => v; case _ => Long.MaxValue }
+        !(maxPrefix < l || minPrefix > h)
+      case AtomicType.TDouble =>
+        val l = lo match { case JDouble(v) => v; case _ => Double.NegativeInfinity }
+        val h = hi match { case JDouble(v) => v; case _ => Double.PositiveInfinity }
+        val mn = java.lang.Double.longBitsToDouble(minPrefix)
+        val mx = java.lang.Double.longBitsToDouble(maxPrefix)
+        !(mx < l || mn > h)
+      case AtomicType.TString =>
+        val l = lo match { case JString(v) => v; case _ => null }
+        val h = hi match { case JString(v) => v; case _ => null }
+        val aboveLo = l == null || exactStr && maxStr.compareTo(l) >= 0 || !exactStr
+        val belowHi = h == null || minStr.compareTo(h) <= 0
+        aboveLo && belowHi
+      case _ => true
+    }
+  }
 
   final class Writer(schema: Schema, dict: FieldDict, config: LsmConfig) {
     private val pages = mutable.ArrayBuffer.empty[Array[Byte]]
@@ -148,18 +169,33 @@ object AmaxLayout {
     private val pkLen = in.readVarInt()
     private val pkStart = { val s = in.position; in.skipBytes(pkLen); s }
     val (keys, anti) = PkChunk.decode(p0, pkStart, pkStart + pkLen, nRecs)
-    val colDir: Map[Int, ColDirEntry] = {
-      val m = Map.newBuilder[Int, ColDirEntry]
+    // Column directory: an entry for every column id below nCols, listed in
+    // megapage-size order. One pass records each entry's offset by column id
+    // and skips its strings; an entry is parsed only when asked for.
+    private val entryAt: Array[Int] = {
+      val at = new Array[Int](nCols)
       var i = 0
       while (i < nCols) {
-        val id = in.readVarInt(); val st = in.readVarInt(); val len = in.readVarInt()
-        val mnp = in.readLongLE(); val mxp = in.readLongLE()
-        val mns = in.readString(); val mxs = in.readString(); val ex = in.readByte() == 1
-        m += id -> ColDirEntry(id, st, len, mnp, mxp, mns, mxs, ex)
+        val pos = in.position
+        val id = in.readVarInt()
+        in.readVarInt(); in.readVarInt() // start, len
+        in.skipBytes(16) // min/max prefixes
+        in.skipBytes(in.readVarInt()); in.skipBytes(in.readVarInt()) // min/max strings
+        in.skipBytes(1) // exactStr
+        at(id) = pos
         i += 1
       }
-      m.result()
+      at
     }
+
+    /** The directory entry of column `colId`, if this leaf holds it. */
+    def entry(colId: Int): Option[ColDirEntry] =
+      if (colId >= nCols) None
+      else {
+        val d = new BufReader(p0, entryAt(colId))
+        Some(ColDirEntry(d.readVarInt(), d.readVarInt(), d.readVarInt(), d.readLongLE(), d.readLongLE(),
+          d.readString(), d.readString(), d.readByte() == 1))
+      }
 
     /** Read only the physical pages a column's megapage spans (§4.4). */
     def columnBytes(e: ColDirEntry): Array[Byte] = {
@@ -182,38 +218,18 @@ object AmaxLayout {
     }
 
     def reader(meta: ColumnMeta): ColumnChunkReader =
-      colDir.get(meta.columnId) match {
+      entry(meta.columnId) match {
         case Some(e) =>
           val b = columnBytes(e)
           new ColumnChunkReader(meta, b, 0, b.length)
         case None => ColumnChunkReader.allAbsent(meta)
       }
 
-    /** Zone-map check: can any value of `colId` fall in [lo, hi]? (§4.3/§4.4) */
+    /** Zone-map check: can any value of `colId` fall in [lo, hi]? (§4.3/§4.4)
+      * A column absent from this component matches no record.
+      */
     def mayContain(colMeta: ColumnMeta, lo: JValue, hi: JValue): Boolean =
-      colDir.get(colMeta.columnId) match {
-        case None => false // column absent in this component: no record matches
-        case Some(e) =>
-          colMeta.tpe match {
-            case AtomicType.TLong =>
-              val l = lo match { case JLong(v) => v; case _ => Long.MinValue }
-              val h = hi match { case JLong(v) => v; case _ => Long.MaxValue }
-              !(e.maxPrefix < l || e.minPrefix > h)
-            case AtomicType.TDouble =>
-              val l = lo match { case JDouble(v) => v; case _ => Double.NegativeInfinity }
-              val h = hi match { case JDouble(v) => v; case _ => Double.PositiveInfinity }
-              val mn = java.lang.Double.longBitsToDouble(e.minPrefix)
-              val mx = java.lang.Double.longBitsToDouble(e.maxPrefix)
-              !(mx < l || mn > h)
-            case AtomicType.TString =>
-              val l = lo match { case JString(v) => v; case _ => null }
-              val h = hi match { case JString(v) => v; case _ => null }
-              val aboveLo = l == null || e.exactStr && e.maxStr.compareTo(l) >= 0 || !e.exactStr
-              val belowHi = h == null || e.minStr.compareTo(h) <= 0
-              aboveLo && belowHi
-            case _ => true
-          }
-      }
+      entry(colMeta.columnId).exists(_.mayContain(colMeta.tpe, lo, hi))
   }
 
   final class Handle(val seq: Long, val meta: ComponentMeta, val file: PagedFile,
@@ -305,7 +321,7 @@ object AmaxLayout {
           val slot = java.util.Arrays.binarySearch(view.keys, key)
           if (slot < 0) return None
           if (view.anti(slot)) return Some(None)
-          val skip = (0 until slot).count(i => !view.anti(i))
+          val skip = PkChunk.rank(view.anti, slot)
           val shapes = new Array[Shape](datasetSchema.numColumns)
           cols.foreach { m =>
             val r = view.reader(m)

@@ -103,24 +103,26 @@ object ApaxLayout {
     private val pkLen = in.readVarInt()
     private val pkStart = in.position
     val (keys, anti) = PkChunk.decode(raw, pkStart, pkStart + pkLen, nRecs)
-    // column directory: colId -> (start, end)
-    val colOffsets: Map[Int, (Int, Int)] = {
+    // Column directory: the page holds every column id below nCols, listed
+    // in id order; chunk [start, end) by column id.
+    private val chunkStart = new Array[Int](nCols)
+    private val chunkEnd = new Array[Int](nCols)
+    locally {
       in.skipBytes(pkLen)
-      val m = Map.newBuilder[Int, (Int, Int)]
       var i = 0
       while (i < nCols) {
         val id = in.readVarInt(); val len = in.readVarInt()
-        m += id -> ((in.position, in.position + len))
+        chunkStart(id) = in.position; chunkEnd(id) = in.position + len
         in.skipBytes(len)
         i += 1
       }
-      m.result()
     }
-    def reader(meta: ColumnMeta): ColumnChunkReader =
-      colOffsets.get(meta.columnId) match {
-        case Some((s, e)) => new ColumnChunkReader(meta, raw, s, e)
-        case None         => ColumnChunkReader.allAbsent(meta)
-      }
+
+    def reader(meta: ColumnMeta): ColumnChunkReader = {
+      val id = meta.columnId
+      if (id < nCols) new ColumnChunkReader(meta, raw, chunkStart(id), chunkEnd(id))
+      else ColumnChunkReader.allAbsent(meta)
+    }
   }
 
   final class Handle(val seq: Long, val meta: ComponentMeta, val file: PagedFile,
@@ -201,7 +203,7 @@ object ApaxLayout {
           val slot = java.util.Arrays.binarySearch(view.keys, key)
           if (slot < 0) return None
           if (view.anti(slot)) return Some(None)
-          val skip = (0 until slot).count(i => !view.anti(i))
+          val skip = PkChunk.rank(view.anti, slot)
           val shapes = new Array[Shape](datasetSchema.numColumns)
           cols.foreach { m =>
             val r = view.reader(m)

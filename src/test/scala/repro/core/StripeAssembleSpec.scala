@@ -189,4 +189,71 @@ class StripeAssembleSpec extends AnyFunSuite {
       })
     assert(res.passed, res.status.toString)
   }
+
+  /** Every token each column receives, in order: ('e', def, value) for an
+    * entry, ('d', index, null) for a delimiter.
+    */
+  private final class TokenLog(numColumns: Int) extends ColumnSink {
+    private val cols = Array.fill(numColumns)(Vector.newBuilder[(Char, Int, JValue)])
+    def entry(col: Int, defLevel: Int, value: JValue): Unit = cols(col) += (('e', defLevel, value))
+    def delimiter(col: Int, d: Int): Unit = cols(col) += (('d', d, null))
+    def streams: Seq[Vector[(Char, Int, JValue)]] = cols.toSeq.map(_.result())
+  }
+
+  test("duplicate names and null fields stripe as the schema-driven walk does (first occurrence wins)") {
+    val recs = objs(
+      """{"a": null, "a": 1, "b": {"c": 2}, "b": "x"}""",
+      """{"a": 3, "a": null, "b": "y", "b": {"c": 4}, "z": null}""",
+      """{"b": {"c": null, "c": 5}, "b": null, "a": [1, null, [2]], "a": 6}""")
+    val schema = new Schema
+    recs.foreach(schema.observe)
+    val got = new TokenLog(schema.numColumns)
+    val want = new TokenLog(schema.numColumns)
+    val striper = new Striper(schema)
+    val reference = new SchemaDrivenStriper(schema)
+    recs.foreach { r => striper.stripe(r, got); reference.stripe(r, want) }
+    assert(got.streams == want.streams)
+  }
+
+  test("property: record-driven striping emits the schema-driven walk's token streams") {
+    val leafGen: Gen[JValue] = Gen.frequency(
+      2 -> Gen.const(JNull),
+      3 -> Gen.choose(-5L, 5L).map(JLong(_)),
+      2 -> Gen.oneOf("x", "y").map(JString(_)),
+      1 -> Gen.choose(-1.0, 1.0).map(JDouble(_)),
+      1 -> Gen.oneOf(true, false).map(JBool(_)))
+    // Arrays are empty, nested, or hold null elements; the same name takes
+    // different kinds across records, so unions (object alternatives
+    // included) form at fields and at array elements.
+    def valueGen(depth: Int): Gen[JValue] =
+      if (depth == 0) leafGen
+      else Gen.frequency(
+        4 -> leafGen,
+        2 -> Gen.choose(0, 3).flatMap(Gen.listOfN(_, Gen.lzy(valueGen(depth - 1)))).map(xs => JArray(xs.toVector)),
+        2 -> objGen(depth - 1))
+    // Names are drawn with replacement from three, so duplicates are common.
+    def objGen(depth: Int): Gen[JObject] =
+      Gen.choose(0, 4).flatMap(Gen.listOfN(_, Gen.zip(Gen.oneOf("a", "b", "c"), Gen.lzy(valueGen(depth)))))
+        .map(fs => JObject(fs.toVector))
+    // Wide sparse records: a few of eighty rarely present fields, some null
+    // in every record that carries them (no schema child at all).
+    val sparse = (0 until 80).map(i => s"s$i")
+    val recordGen: Gen[JObject] = for {
+      o <- objGen(3)
+      k <- Gen.choose(0, 6)
+      extra <- Gen.listOfN(k, Gen.zip(Gen.oneOf(sparse), leafGen))
+    } yield JObject(o.fields ++ extra)
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200),
+      Prop.forAll(Gen.nonEmptyListOf(recordGen).map(_.take(20))) { recs =>
+        val schema = new Schema
+        recs.foreach(schema.observe)
+        val got = new TokenLog(schema.numColumns)
+        val want = new TokenLog(schema.numColumns)
+        val striper = new Striper(schema)
+        val reference = new SchemaDrivenStriper(schema)
+        recs.foreach { r => striper.stripe(r, got); reference.stripe(r, want) }
+        got.streams == want.streams
+      })
+    assert(res.passed, res.status.toString)
+  }
 }

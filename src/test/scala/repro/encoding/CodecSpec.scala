@@ -75,6 +75,44 @@ class CodecSpec extends AnyFunSuite {
     }
   }
 
+  test("def-level literal runs are cut at the 512-value cap, at bit widths 1-4") {
+    // The runs of an encoded stream, in order: (literal?, length).
+    def runsOf(bytes: Array[Byte], bitWidth: Int): Seq[(Boolean, Int)] = {
+      val in = new BufReader(bytes)
+      assert(in.readByte() == bitWidth)
+      in.readVarInt()
+      val out = Seq.newBuilder[(Boolean, Int)]
+      while (in.hasRemaining) {
+        val h = in.readVarInt()
+        val n = h >>> 1
+        if ((h & 1) == 1) { out += true -> n; in.skipBytes((n * bitWidth + 7) / 8) }
+        else { out += false -> n; in.readVarInt() }
+      }
+      out.result()
+    }
+    for (bitWidth <- 1 to 4) {
+      val top = (1 << bitWidth) - 1
+      val alternating = (0 until 1100).map(i => if (i % 2 == 0) 0 else top)
+      // Stretches of seven equal values, one short of an RLE run: the
+      // buffer passes the cap at 74 × 7 = 518 values.
+      val sevens = (0 until 1200).map(i => if (i / 7 % 2 == 0) top else 0)
+      val thenRle = (0 until 600).map(i => if (i % 2 == 0) 0 else top) ++ Seq.fill(20)(0)
+      Seq(
+        alternating -> Seq(true -> 512, true -> 512, true -> 76),
+        sevens -> Seq(true -> 518, true -> 518, true -> 164),
+        thenRle -> Seq(true -> 512, true -> 88, false -> 20),
+      ).foreach { case (levels, want) =>
+        val w = new DefLevelWriter(top)
+        levels.foreach(w.write)
+        val bytes = w.finish()
+        assert(runsOf(bytes, bitWidth) == want, s"bit width $bitWidth")
+        val r = new DefLevelReader(bytes)
+        assert(r.numValues == levels.length)
+        levels.foreach(l => assert(r.next() == l))
+      }
+    }
+  }
+
   test("all-equal def levels collapse to a few bytes (RLE)") {
     val w = new DefLevelWriter(5)
     (0 until 100000).foreach(_ => w.write(5))

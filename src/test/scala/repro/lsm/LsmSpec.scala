@@ -138,6 +138,30 @@ class LsmSpec extends AnyFunSuite {
       }
     }
 
+    test(s"[${layout.name}] lookups past anti-matter in the same page or leaf find the right record") {
+      val ds = mkDataset(layout, smallConfig.copy(maxComponents = 10))
+      (0L until 300L).map(gamerRecord).foreach(ds.upsert)
+      ds.flush()
+      // One component interleaving anti-matter with live versions: a live
+      // record's column position is the number of live entries before it.
+      (0L until 300L).foreach { i =>
+        if (i % 3 == 0) ds.delete(i)
+        else if (i % 3 == 1) ds.upsert(JObject.of("id" -> JLong(i), "name" -> JString(s"v2-$i")))
+      }
+      ds.flush()
+      val keys = (0L until 300L).toArray
+      val batched = ds.batchedLookup(keys, null).toMap
+      keys.foreach { k =>
+        val want = k % 3 match {
+          case 0 => None
+          case 1 => Some(JString(s"v2-$k"))
+          case _ => Some(JString(s"gamer$k"))
+        }
+        assert(ds.pointLookup(k).flatMap(_.get("name")) == want, s"key $k")
+        assert(batched.get(k).flatMap(_.get("name")) == want, s"key $k (batched)")
+      }
+    }
+
     test(s"[${layout.name}] secondary index maintains entries through updates") {
       val ds = mkDataset(layout, pkIndex = true)
       ds.secondaries += new SecondaryIndex("ts")
