@@ -71,7 +71,6 @@ final class ColumnChunkWriter(val meta: ColumnMeta) {
     pendingDelim = if (pendingDelim < 0) d else math.min(pendingDelim, d)
 
   def presentCount: Int = nPresent
-  def tokenCount: Int = defs.numValues + (if (pendingDelim >= 0) 1 else 0)
   def sizeEstimate: Int = defs.sizeEstimate + vals.sizeEstimate + 5
 
   def finish(): Array[Byte] = {
@@ -96,7 +95,6 @@ class ColumnChunkReader(val meta: ColumnMeta, bytes: Array[Byte], start: Int, en
   private val defs = new DefLevelReader(bytes, defStart, defStart + defLen)
   private val vals = ValueCodec.reader(meta.tpe, bytes, defStart + defLen, end)
 
-  val numTokens: Int = defs.numValues
   private var peeked = -1
   private var hasPeek = false
 

@@ -70,7 +70,6 @@ final case class ColumnMeta(
 ) {
   def numArrays: Int = arrayLevels.length
   def maxDelimiter: Int = numArrays - 1
-  def isArrayColumn: Boolean = arrayLevels.nonEmpty
 }
 
 /** The mutable inferred schema of one dataset (one per LSM partition in the

@@ -21,8 +21,6 @@ final class DefLevelWriter(maxLevel: Int) {
   private var runValue = -1
   private var runLen = 0
 
-  def numValues: Int = count
-
   private def flushLiterals(): Unit = {
     if (pendingLen > 0) {
       runs.writeVarInt((pendingLen << 1) | 1)

@@ -140,19 +140,11 @@ final class LsmDataset(
           }
         }
         val striper = new Striper(schema)
-        if (layout == LayoutKind.Apax) {
-          val w = new ApaxLayout.Writer(schema, dict, config)
-          decoded.foreach { case (k, r) =>
-            w.add(k, r == null, if (r == null) null else (s: ColumnSink) => striper.stripe(r, s))
-          }
-          w.finish(dataPath, metaPath, cache)
-        } else {
-          val w = new AmaxLayout.Writer(schema, dict, config)
-          decoded.foreach { case (k, r) =>
-            w.add(k, r == null, if (r == null) null else (s: ColumnSink) => striper.stripe(r, s))
-          }
-          w.finish(dataPath, metaPath, cache)
+        val w = ColumnarWriter(layout, schema, dict, config)
+        decoded.foreach { case (k, r) =>
+          w.add(k, r == null, if (r == null) null else (s: ColumnSink) => striper.stripe(r, s))
         }
+        w.finish(dataPath, metaPath, cache)
       }
     components = handle :: components
     mem.clear(); memBytes = 0
@@ -205,38 +197,13 @@ final class LsmDataset(
   private def mergeRows(group: List[ComponentHandle], dropAnti: Boolean,
                         dataPath: java.io.File, metaPath: java.io.File): ComponentHandle = {
     val w = new RowLayout.Writer(layout, schema, dict, config)
-    foreachReconciled(group, projection = null, zone = null) { (key, anti, cursor) =>
-      if (anti) { if (!dropAnti) w.add(key, antimatter = true, null) }
-      else w.add(key, antimatter = false, serializeRow(cursor.record()))
+    val r = new Reconciler(group.map(_.newCursor(schema, null, null)).toArray, group.map(_.seq).toArray)
+    while (r.next()) {
+      r.advanceShadowed()
+      if (!r.cursor.isAntimatter) w.add(r.key, antimatter = false, serializeRow(r.cursor.record()))
+      else if (!dropAnti) w.add(r.key, antimatter = true, null)
     }
     w.finish(dataPath, metaPath, cache)
-  }
-
-  /** K-way reconciling iteration over `group` (newest wins, equal keys
-    * annihilate). Used by row merges; scans use [[scan]].
-    */
-  private def foreachReconciled(group: List[ComponentHandle], projection: Array[Int],
-                                zone: AmaxLayout.ZonePredicate)
-                               (f: (Long, Boolean, CompCursor) => Unit): Unit = {
-    val cursors = group.map(h => (h.seq, h.newCursor(schema, projection))).toArray
-    val pq = new java.util.PriorityQueue[(Long, Long, Int)](11,
-      (a: (Long, Long, Int), b: (Long, Long, Int)) => {
-        val c = java.lang.Long.compare(a._1, b._1)
-        if (c != 0) c else java.lang.Long.compare(b._2, a._2) // higher seq first
-      })
-    cursors.zipWithIndex.foreach { case ((seq, c), i) => if (c.advance()) pq.add((c.key, seq, i)) }
-    while (!pq.isEmpty) {
-      val (key, _, wi) = pq.poll()
-      val winner = cursors(wi)._2
-      // Drain losers with the same key (shadowed versions / annihilated pairs).
-      while (!pq.isEmpty && pq.peek()._1 == key) {
-        val (_, _, li) = pq.poll()
-        val lc = cursors(li)._2
-        if (lc.advance()) pq.add((lc.key, cursors(li)._1, li))
-      }
-      f(key, winner.isAntimatter, winner)
-      if (winner.advance()) pq.add((winner.key, cursors(wi)._1, wi))
-    }
   }
 
   // ------------------------------------------------------------------ reads
@@ -246,12 +213,6 @@ final class LsmDataset(
     */
   def scan(projection: Array[Int] = null,
            zone: AmaxLayout.ZonePredicate = null): Iterator[ScanTuple] = {
-    val srcs = mutable.ArrayBuffer.empty[(Long, CompCursor)]
-    components.foreach {
-      case h: AmaxLayout.Handle if zone != null =>
-        srcs += ((h.seq, h.newCursor(schema, projection, zone)))
-      case h => srcs += ((h.seq, h.newCursor(schema, projection)))
-    }
     // Memory component as a pseudo-cursor with the highest sequence.
     val memCursor = new CompCursor {
       private val it = mem.entrySet().iterator()
@@ -259,226 +220,81 @@ final class LsmDataset(
       def advance(): Boolean = { if (it.hasNext) { cur = it.next(); true } else false }
       def key: Long = cur.getKey
       def isAntimatter: Boolean = cur.getValue.anti
-      def rowMajor: Boolean = true
-      def shapes(): Array[Shape] = null
-      def record(): JObject = decodeMem(cur.getValue)
+      override def record(): JObject = decodeMem(cur.getValue)
     }
-    srcs += ((Long.MaxValue, memCursor))
+    val r = new Reconciler((components.map(_.newCursor(schema, projection, zone)) :+ memCursor).toArray,
+      (components.map(_.seq) :+ Long.MaxValue).toArray)
 
+    // A returned tuple reads the live winning cursor, so it stays valid
+    // exactly until the caller asks for the next one.
     new Iterator[ScanTuple] {
-      private val pq = new java.util.PriorityQueue[(Long, Long, Int)](11,
-        (a: (Long, Long, Int), b: (Long, Long, Int)) => {
-          val c = java.lang.Long.compare(a._1, b._1)
-          if (c != 0) c else java.lang.Long.compare(b._2, a._2)
-        })
-      srcs.zipWithIndex.foreach { case ((_, c), i) =>
-        if (c.advance()) pq.add((c.key, srcs(i)._1, i))
-      }
-      private var nextTuple: ScanTuple = _
-      // The winning cursor may only advance after the caller is done with the
-      // tuple (shapes/record are read lazily off the live cursor), so the
-      // advance is deferred to the next computeNext() call.
-      private var lastWinner: Int = -1
-
-      private def computeNext(): Unit = {
-        nextTuple = null
-        if (lastWinner >= 0) {
-          val c = srcs(lastWinner)._2
-          if (c.advance()) pq.add((c.key, srcs(lastWinner)._1, lastWinner))
-          lastWinner = -1
-        }
-        while (nextTuple == null && !pq.isEmpty) {
-          val (key, _, wi) = pq.poll()
-          val winner = srcs(wi)._2
-          while (!pq.isEmpty && pq.peek()._1 == key) {
-            val (_, _, li) = pq.poll()
-            val lc = srcs(li)._2
-            if (lc.advance()) pq.add((lc.key, srcs(li)._1, li))
-          }
-          if (!winner.isAntimatter) {
-            val isPruned = winner match {
-              case c: AmaxLayout.Handle#Cursor => c.leafPruned
-              case _ => false
-            }
-            val k = key
-            nextTuple = new ScanTuple {
-              val key: Long = k
-              // shapes()/record() may be consumed at most once per entry on
-              // columnar cursors; cache so callers can mix them freely.
-              private var cachedShapes: Array[Shape] = _
-              private var cachedRecord: JObject = _
-              def shapes(): Array[Shape] = {
-                if (cachedShapes == null && !winner.rowMajor) cachedShapes = winner.shapes()
-                cachedShapes
-              }
-              def pruned: Boolean = isPruned
-              def record(): JObject = {
-                if (cachedRecord == null) {
-                  cachedRecord =
-                    if (winner.rowMajor) winner.record()
-                    else {
-                      val sh = shapes()
-                      val r = Assembler.assembleRecord(schema, id => sh(id))
-                      JObject((pkField -> JLong(k)) +: r.fields)
-                    }
-                }
-                cachedRecord
-              }
-            }
-            lastWinner = wi
-          } else {
-            if (winner.advance()) pq.add((winner.key, srcs(wi)._1, wi))
-          }
-        }
-      }
-
-      // Compute-on-demand: a returned tuple reads the live cursor, so it
-      // stays valid exactly until the caller asks for the next one.
-      private var exhausted = false
+      private var ready = false // positioned on a live entry not yet returned
+      private var done = false
       def hasNext: Boolean = {
-        if (nextTuple == null && !exhausted) {
-          computeNext()
-          if (nextTuple == null) exhausted = true
+        while (!ready && !done) {
+          if (!r.next()) done = true
+          else { r.advanceShadowed(); ready = !r.cursor.isAntimatter }
         }
-        nextTuple != null
+        ready
       }
       def next(): ScanTuple = {
         if (!hasNext) throw new NoSuchElementException
-        val t = nextTuple; nextTuple = null; t
+        ready = false
+        val winner = r.cursor
+        val k = r.key
+        new ScanTuple {
+          val key: Long = k
+          val pruned: Boolean = winner.leafPruned
+          // shapes()/record() may be consumed at most once per entry on
+          // columnar cursors; cache so callers can mix them freely.
+          private var cachedShapes: Array[Shape] = _
+          private var cachedRecord: JObject = _
+          def shapes(): Array[Shape] = {
+            if (cachedShapes == null) cachedShapes = winner.shapes()
+            cachedShapes
+          }
+          def record(): JObject = {
+            if (cachedRecord == null) {
+              val sh = shapes()
+              cachedRecord =
+                if (sh == null) winner.record()
+                else JObject((pkField -> JLong(k)) +: Assembler.assembleRecord(schema, id => sh(id)).fields)
+            }
+            cachedRecord
+          }
+        }
       }
     }
   }
 
-  def pointLookup(key: Long, projection: Array[Int] = null): Option[JObject] = {
-    val m = mem.get(key)
-    if (m != null) return if (m.anti) None else Some(decodeMem(m))
-    components.foreach { h =>
-      h.pointLookup(key, schema, projection) match {
-        case Some(Some(r)) =>
-          return Some(if (r.get(pkField).isEmpty) JObject((pkField -> JLong(key)) +: r.fields) else r)
-        case Some(None) => return None
-        case None => ()
-      }
-    }
-    None
-  }
+  def pointLookup(key: Long, projection: Array[Int] = null): Option[JObject] =
+    lookup(key, components.iterator.map(_.pointLookup(key, schema, projection)))
 
   /** Batched sorted-PK point lookups (§4.6, Luo et al.'s stateful-cursor
     * approach): keys arrive sorted ascending, so each component keeps a
-    * forward-only cursor — chunks are decoded once and column readers sweep
+    * forward-only cursor — chunks are read once and column readers sweep
     * forward instead of restarting per key. Columnar components read only
     * the projected columns' pages (Fig. 16c–e's behaviour).
     */
   def batchedLookup(sortedKeys: Array[Long], projection: Array[Int]): Iterator[(Long, JObject)] = {
-    val fwd = components.map {
-      case h: ApaxLayout.Handle => new ApaxForward(h, projection)
-      case h: AmaxLayout.Handle => new AmaxForward(h, projection)
-      case h                    => new RowForward(h)
-    }
-    sortedKeys.iterator.flatMap { key =>
-      val m = mem.get(key)
-      val res: Option[JObject] =
-        if (m != null) { if (m.anti) None else Some(decodeMem(m)) }
-        else {
-          var out: Option[JObject] = None
-          var decided = false
-          val it = fwd.iterator
-          while (!decided && it.hasNext) {
-            it.next().lookup(key) match {
-              case Some(Some(r)) =>
-                out = Some(if (r.get(pkField).isEmpty) JObject((pkField -> JLong(key)) +: r.fields) else r)
-                decided = true
-              case Some(None)    => decided = true // anti-matter: key deleted
-              case None          => ()
-            }
-          }
-          out
-        }
-      res.map(key -> _)
-    }
+    val fwd = components.map(_.forwardLookup(schema, projection))
+    sortedKeys.iterator.flatMap(key => lookup(key, fwd.iterator.map(_.lookup(key))).map(key -> _))
   }
 
-  private sealed trait ForwardLookup {
-    def lookup(key: Long): Option[Option[JObject]]
-  }
-
-  private final class RowForward(h: ComponentHandle) extends ForwardLookup {
-    def lookup(key: Long): Option[Option[JObject]] = h.pointLookup(key, schema)
-  }
-
-  /** Forward cursor over APAX pages: page decoded once, projected column
-    * readers advance monotonically with batch skips.
+  /** The memory component's version of `key`, else the first of the
+    * components' `answers` (newest first, evaluated lazily) that knows the
+    * key: its record, or None for anti-matter.
     */
-  private final class ApaxForward(h: ApaxLayout.Handle, projection: Array[Int]) extends ForwardLookup {
-    private val projCols =
-      (if (projection == null) h.meta.schema.columns.toArray
-       else projection.filter(_ < schema.numColumns).map(schema.column))
-    private var pageIdx = -1
-    private var view: ApaxLayout.PageView = _
-    private var readers: Array[repro.core.ColumnChunkReader] = _
-    private var posNonAnti = 0
-
-    def lookup(key: Long): Option[Option[JObject]] = {
-      if (h.meta.numEntries == 0 || key < h.meta.minKey || key > h.meta.maxKey) return None
-      while (pageIdx < h.dir.length && (pageIdx < 0 || key > h.dir(math.max(pageIdx, 0)).maxKey)) {
-        pageIdx += 1; view = null
-      }
-      if (pageIdx >= h.dir.length || key < h.dir(pageIdx).minKey) return None
-      if (view == null) {
-        view = new ApaxLayout.PageView(h.file.readPage(pageIdx))
-        readers = projCols.map(view.reader)
-        posNonAnti = 0
-      }
-      val slot = java.util.Arrays.binarySearch(view.keys, key)
-      if (slot < 0) return None
-      if (view.anti(slot)) return Some(None)
-      val target = PkChunk.rank(view.anti, slot)
-      if (target > posNonAnti) { readers.foreach(_.skipRecords(target - posNonAnti)); posNonAnti = target }
-      val sh = new Array[Shape](schema.numColumns)
-      var i = 0
-      while (i < readers.length) { sh(projCols(i).columnId) = readers(i).nextRecordShape(); i += 1 }
-      posNonAnti += 1
-      Some(Some(Assembler.assembleRecord(schema, id => sh(id))))
-    }
-  }
-
-  private final class AmaxForward(h: AmaxLayout.Handle, projection: Array[Int]) extends ForwardLookup {
-    private val projCols =
-      (if (projection == null) h.meta.schema.columns.toArray
-       else projection.filter(_ < schema.numColumns).map(schema.column))
-    private var leafIdx = -1
-    private var view: AmaxLayout.LeafView = _
-    private var readers: Array[repro.core.ColumnChunkReader] = _
-    private var posNonAnti = 0
-
-    def lookup(key: Long): Option[Option[JObject]] = {
-      if (h.meta.numEntries == 0 || key < h.meta.minKey || key > h.meta.maxKey) return None
-      while (leafIdx < h.leaves.length && (leafIdx < 0 || key > h.leaves(math.max(leafIdx, 0)).maxKey)) {
-        leafIdx += 1; view = null
-      }
-      if (leafIdx >= h.leaves.length || key < h.leaves(leafIdx).minKey) return None
-      if (view == null) {
-        view = new AmaxLayout.LeafView(h, h.leaves(leafIdx))
-        readers = projCols.map(view.reader)
-        posNonAnti = 0
-      }
-      val slot = java.util.Arrays.binarySearch(view.keys, key)
-      if (slot < 0) return None
-      if (view.anti(slot)) return Some(None)
-      val target = PkChunk.rank(view.anti, slot)
-      if (target > posNonAnti) { readers.foreach(_.skipRecords(target - posNonAnti)); posNonAnti = target }
-      val sh = new Array[Shape](schema.numColumns)
-      var i = 0
-      while (i < readers.length) { sh(projCols(i).columnId) = readers(i).nextRecordShape(); i += 1 }
-      posNonAnti += 1
-      Some(Some(Assembler.assembleRecord(schema, id => sh(id))))
+  private def lookup(key: Long, answers: Iterator[Option[Option[JObject]]]): Option[JObject] = {
+    val m = mem.get(key)
+    if (m != null) { if (m.anti) None else Some(decodeMem(m)) }
+    else answers.collectFirst { case Some(r) => r }.flatten.map { r =>
+      if (r.get(pkField).isEmpty) JObject((pkField -> JLong(key)) +: r.fields) else r
     }
   }
 
   def sizeOnDisk: Long =
     components.map(_.sizeOnDisk).sum + pkIndex.sizeOnDisk + secondaries.map(_.sizeOnDisk).sum
-
-  def numRecords: Long = scan(projection = Array.emptyIntArray).size
 }
 
 object LsmDataset {
@@ -487,19 +303,9 @@ object LsmDataset {
     * the dataset schema (always a superset of older ones, §2.2).
     */
   def openReadOnly(dir: java.io.File, cache: BufferCache): LsmDataset = {
-    val metaFiles = dir.listFiles((_, n) => n.endsWith(".meta"))
-      .sortBy(f => -f.getName.stripPrefix("c").stripSuffix(".meta").toLong)
-    require(metaFiles.nonEmpty, s"no components in $dir")
-    val handles = metaFiles.toList.map { mf =>
-      val seq = mf.getName.stripPrefix("c").stripSuffix(".meta").toLong
-      val dataPath = new java.io.File(dir, s"c$seq.data")
-      val meta = ComponentMeta.deserialize(java.nio.file.Files.readAllBytes(mf.toPath))
-      meta.layout match {
-        case LayoutKind.Amax => layout.AmaxLayout.open(seq, dataPath, mf, cache)
-        case LayoutKind.Apax => layout.ApaxLayout.open(seq, dataPath, mf, cache)
-        case _               => layout.RowLayout.open(seq, dataPath, mf, cache)
-      }
-    }
+    val handles = dir.listFiles((_, n) => n.endsWith(".meta")).toList
+      .map(ComponentHandle.open(_, cache)).sortBy(-_.seq)
+    require(handles.nonEmpty, s"no components in $dir")
     val newest = handles.head.meta
     val ds = new LsmDataset(dir.getName, dir, newest.layout, LsmConfig(), cache)
     ds.components = handles

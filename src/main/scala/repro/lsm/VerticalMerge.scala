@@ -1,7 +1,6 @@
 package repro.lsm
 
 import repro.core._
-import repro.lsm.layout.{AmaxLayout, ApaxLayout}
 import scala.collection.mutable
 
 /** Vertical merge for columnar components (§4.5.3): first merge the primary
@@ -16,47 +15,32 @@ import scala.collection.mutable
 object VerticalMerge {
   private val BatchSize = 4096
 
-  private trait ChunkView {
-    def keys: Array[Long]
-    def anti: Array[Boolean]
-    def reader(m: ColumnMeta): ColumnChunkReader
-  }
-
-  private final class ViewSource(h: ComponentHandle) {
-    private val apax = h match { case a: ApaxLayout.Handle => a; case _ => null }
-    private val amax = h match { case a: AmaxLayout.Handle => a; case _ => null }
-    val numChunks: Int = if (apax != null) apax.dir.length else amax.leaves.length
-    // Tiny LRU so pass B's per-column sweeps reuse decoded chunk views.
-    private val lru = new java.util.LinkedHashMap[Int, ChunkView](8, 0.75f, true) {
-      override def removeEldestEntry(e: java.util.Map.Entry[Int, ChunkView]): Boolean = size() > 4
+  /** One input component's chunks, read through a tiny LRU so that pass
+    * B's per-column sweeps reuse the chunks pass A decoded.
+    */
+  private final class ViewSource(val h: ColumnarHandle) {
+    /** Live records per chunk, recorded as chunks are read (pass A reads
+      * every chunk), for pass B's skipping.
+      */
+    val live = new Array[Int](h.chunks.length)
+    private val lru = new java.util.LinkedHashMap[Int, ColumnarChunk](8, 0.75f, true) {
+      override def removeEldestEntry(e: java.util.Map.Entry[Int, ColumnarChunk]): Boolean = size() > 4
     }
-    def view(i: Int): ChunkView = {
-      val c = lru.get(i)
-      if (c != null) return c
-      val v: ChunkView =
-        if (apax != null) {
-          val pv = new ApaxLayout.PageView(apax.file.readPage(i))
-          new ChunkView {
-            def keys = pv.keys; def anti = pv.anti
-            def reader(m: ColumnMeta) = pv.reader(m)
-          }
-        } else {
-          val lv = new AmaxLayout.LeafView(amax, amax.leaves(i))
-          new ChunkView {
-            def keys = lv.keys; def anti = lv.anti
-            def reader(m: ColumnMeta) = lv.reader(m)
-          }
-        }
-      lru.put(i, v)
-      v
+    def chunk(i: Int): ColumnarChunk = {
+      val cached = lru.get(i)
+      if (cached != null) return cached
+      val c = h.chunk(i)
+      live(i) = PkChunk.rank(c.anti, c.anti.length)
+      lru.put(i, c)
+      c
     }
   }
 
   /** Forward reader of one column across a component's chunks, replaying the
     * taken/skip flags recorded by the key-merge pass.
     */
-  private final class ColStream(src: ViewSource, chunkCounts: Array[Int],
-                                meta: ColumnMeta, flags: Array[Boolean]) {
+  private final class ColStream(src: ViewSource, meta: ColumnMeta, flags: Array[Boolean]) {
+    private val chunkCounts = src.live
     private var flagPos = 0
     private var chunkIdx = 0
     private var consumed = 0
@@ -68,7 +52,7 @@ object VerticalMerge {
         chunkIdx += 1; consumed = 0; reader = null
       }
       if (reader == null && chunkIdx < chunkCounts.length)
-        reader = src.view(chunkIdx).reader(meta)
+        reader = src.chunk(chunkIdx).reader(meta)
     }
 
     private def step(n: Int): Unit = { // skip n records across chunk boundaries
@@ -111,74 +95,43 @@ object VerticalMerge {
 
   def run(ds: LsmDataset, group: List[ComponentHandle], dropAnti: Boolean,
           dataPath: java.io.File, metaPath: java.io.File): ComponentHandle = {
-    val handles = group.toArray // index = comp position; seq order = newest first in `group`
-    val seqs = handles.map(_.seq)
-    val sources = handles.map(new ViewSource(_))
-    val nComps = handles.length
+    val sources = group.toArray.map { case h: ColumnarHandle => new ViewSource(h) }
+    val nComps = sources.length
 
     // ---------------- pass A: merge primary keys, record winner sequence
     val outKeys = new mutable.ArrayBuffer[Long]()
     val outAnti = new mutable.ArrayBuffer[Boolean]()
     val outComp = new mutable.ArrayBuffer[Int]()       // for record outputs
     val flags = Array.fill(nComps)(new mutable.ArrayBuffer[Boolean]())
-    val chunkCounts = Array.tabulate(nComps) { c => new Array[Int](sources(c).numChunks) }
-
-    final class KeyCursor(c: Int) {
-      private var chunk = -1
-      private var view: ChunkView = _
-      private var slot = -1
-      var key: Long = _
-      var anti: Boolean = _
-      def advance(): Boolean = {
-        slot += 1
-        while (view == null || slot >= view.keys.length) {
-          chunk += 1
-          if (chunk >= sources(c).numChunks) return false
-          view = sources(c).view(chunk)
-          // non-anti record count per chunk, for pass-B skipping
-          chunkCounts(c)(chunk) = view.anti.count(!_)
-          slot = 0
-        }
-        key = view.keys(slot); anti = view.anti(slot)
-        true
-      }
-    }
-
-    val cursors = Array.tabulate(nComps)(new KeyCursor(_))
-    val pq = new java.util.PriorityQueue[(Long, Long, Int)](11,
-      (a: (Long, Long, Int), b: (Long, Long, Int)) => {
-        val cc = java.lang.Long.compare(a._1, b._1)
-        if (cc != 0) cc else java.lang.Long.compare(b._2, a._2)
-      })
-    cursors.indices.foreach(i => if (cursors(i).advance()) pq.add((cursors(i).key, seqs(i), i)))
-    while (!pq.isEmpty) {
-      val (key, _, wi) = pq.poll()
-      val win = cursors(wi)
-      val winAnti = win.anti
+    // Keys only, through each source's LRU: pass B then finds small
+    // components' chunks still cached.
+    val cursors: Array[CompCursor] =
+      sources.map(s => new ColumnarCursor(s.h, ds.schema, Array.emptyIntArray, null, s.chunk))
+    val keyMerge = new Reconciler(cursors, group.map(_.seq).toArray)
+    while (keyMerge.next()) {
+      val wi = keyMerge.winner
+      val winAnti = cursors(wi).isAntimatter
       if (!winAnti) flags(wi) += true
-      val losers = mutable.ArrayBuffer.empty[Int]
-      while (!pq.isEmpty && pq.peek()._1 == key) {
-        val (_, _, li) = pq.poll()
-        if (!cursors(li).anti) flags(li) += false
-        losers += li
+      var j = 0
+      while (j < keyMerge.numShadowed) {
+        val li = keyMerge.shadowed(j)
+        if (!cursors(li).isAntimatter) flags(li) += false
+        j += 1
       }
       if (!winAnti || !dropAnti) {
-        outKeys += key; outAnti += winAnti
+        outKeys += keyMerge.key; outAnti += winAnti
         if (!winAnti) outComp += wi
       }
-      if (win.advance()) pq.add((win.key, seqs(wi), wi))
-      losers.foreach(li => if (cursors(li).advance()) pq.add((cursors(li).key, seqs(li), li)))
     }
 
     // ---------------- pass B: replay columns batch-by-batch, column-major
     val cols = ds.schema.columns.toArray
     val streams: Array[Array[ColStream]] = Array.tabulate(nComps) { c =>
       val fl = flags(c).toArray
-      cols.map(m => new ColStream(sources(c), chunkCounts(c), m, fl))
+      cols.map(m => new ColStream(sources(c), m, fl))
     }
 
-    val writerApax = if (ds.layout == LayoutKind.Apax) new ApaxLayout.Writer(ds.schema, ds.dict, ds.config) else null
-    val writerAmax = if (ds.layout == LayoutKind.Amax) new AmaxLayout.Writer(ds.schema, ds.dict, ds.config) else null
+    val writer = ColumnarWriter(ds.layout, ds.schema, ds.dict, ds.config)
 
     var pos = 0
     var recGlobal = 0 // index into outComp of the batch's first record
@@ -203,7 +156,7 @@ object VerticalMerge {
       var oi = pos
       while (oi < end) {
         val anti = outAnti(oi)
-        val feeder: ApaxLayout.ColumnFeeder =
+        val feeder: ColumnSink => Unit =
           if (anti) null
           else {
             val r = ri
@@ -212,15 +165,13 @@ object VerticalMerge {
               while (c < cols.length) { replay(cols(c).columnId, colShapes(c)(r), sink, 0); c += 1 }
             }
           }
-        if (writerApax != null) writerApax.add(outKeys(oi), anti, feeder)
-        else writerAmax.add(outKeys(oi), anti, feeder)
+        writer.add(outKeys(oi), anti, feeder)
         if (!anti) ri += 1
         oi += 1
       }
       pos = end
     }
 
-    if (writerApax != null) writerApax.finish(dataPath, metaPath, ds.cache)
-    else writerAmax.finish(dataPath, metaPath, ds.cache)
+    writer.finish(dataPath, metaPath, ds.cache)
   }
 }

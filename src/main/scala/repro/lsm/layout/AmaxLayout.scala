@@ -13,8 +13,6 @@ import scala.collection.mutable
   * its columns touch.
   */
 object AmaxLayout {
-  import ApaxLayout.ColumnFeeder
-
   /** 8-byte order-preserving prefix used for zone-map filtering in Page 0. */
   def prefixOf(v: JValue): Long = v match {
     case JLong(l)   => l
@@ -54,41 +52,18 @@ object AmaxLayout {
     }
   }
 
-  final class Writer(schema: Schema, dict: FieldDict, config: LsmConfig) {
-    private val pages = mutable.ArrayBuffer.empty[Array[Byte]]
-    // leaf directory: startPage, nPages, nRecs, minKey, maxKey
-    private val leafDir = mutable.ArrayBuffer.empty[(Int, Int, Int, Long, Long)]
-    private var pk = new PkChunk.Writer
-    private var writers: Array[ColumnChunkWriter] = newWriters()
-    private val sink: ColumnSink = new ColumnSink {
-      def entry(col: Int, defLevel: Int, value: JValue): Unit = writers(col).entry(defLevel, value)
-      def delimiter(col: Int, d: Int): Unit = writers(col).delimiter(d)
-    }
-    private var leafMinKey = Long.MaxValue
-    private var leafMaxKey = Long.MinValue
-    private var nEntries = 0L
-    private var nAnti = 0L
-    private var minKey = Long.MaxValue
-    private var maxKey = Long.MinValue
+  final class Writer(schema: Schema, dict: FieldDict, config: LsmConfig)
+      extends ColumnarWriter(LayoutKind.Amax, schema, dict, config) {
+    private val leafDir = mutable.ArrayBuffer.empty[LeafInfo]
 
-    private def newWriters(): Array[ColumnChunkWriter] =
-      schema.columns.map(m => new ColumnChunkWriter(m)).toArray
-
-    def add(key: Long, antimatter: Boolean, feed: ColumnFeeder): Unit = {
-      pk.add(key, antimatter)
-      if (!antimatter) feed(sink)
-      leafMinKey = math.min(leafMinKey, key); leafMaxKey = math.max(leafMaxKey, key)
-      minKey = math.min(minKey, key); maxKey = math.max(maxKey, key)
-      nEntries += 1; if (antimatter) nAnti += 1
-      if (pk.count >= config.amaxLeafRecords) cutLeaf()
-    }
+    protected def chunkFull: Boolean = pk.count >= config.amaxLeafRecords
 
     private def truncStr(v: JValue): (String, Boolean) = v match {
       case JString(s) => if (s.length <= 48) (s, true) else (s.substring(0, 48), false)
       case _          => ("", false)
     }
 
-    private def cutLeaf(): Unit = {
+    protected def cutChunk(): Unit = {
       if (pk.count == 0) return
       val P = config.pageSize
       // Megapages ordered largest → smallest (§4.3), packed into the data
@@ -115,7 +90,7 @@ object AmaxLayout {
       val p0 = new BufWriter(config.pageSize / 2)
       p0.writeVarInt(pk.count)
       p0.writeVarInt(dirEntries.length)
-      p0.writeLongLE(leafMinKey); p0.writeLongLE(leafMaxKey)
+      p0.writeLongLE(chunkMinKey); p0.writeLongLE(chunkMaxKey)
       val pkBytes = pk.finish()
       p0.writeVarInt(pkBytes.length); p0.writeBytes(pkBytes)
       dirEntries.foreach { e =>
@@ -132,34 +107,26 @@ object AmaxLayout {
         pages += java.util.Arrays.copyOfRange(regionBytes, off, off + len)
         off += len
       }
-      leafDir += ((startPage, pages.length - startPage, pk.count, leafMinKey, leafMaxKey))
-      pk = new PkChunk.Writer
-      writers = newWriters()
-      leafMinKey = Long.MaxValue; leafMaxKey = Long.MinValue
+      leafDir += LeafInfo(startPage, pages.length - startPage, pk.count, chunkMinKey, chunkMaxKey)
+      nextChunk()
     }
 
-    def finish(dataPath: java.io.File, metaPath: java.io.File, cache: BufferCache): Handle = {
-      cutLeaf()
-      val file = PagedFile.write(dataPath, pages, cache)
+    protected def finishPages(): Array[Byte] = {
+      cutChunk()
       val dir = new BufWriter(64)
       dir.writeVarInt(leafDir.length)
-      leafDir.foreach { case (sp, np, nr, mn, mx) =>
-        dir.writeVarInt(sp); dir.writeVarInt(np); dir.writeVarInt(nr)
-        dir.writeLongLE(mn); dir.writeLongLE(mx)
+      leafDir.foreach { l =>
+        dir.writeVarInt(l.startPage); dir.writeVarInt(l.nPages); dir.writeVarInt(l.nRecs)
+        dir.writeLongLE(l.minKey); dir.writeLongLE(l.maxKey)
       }
-      val meta = ComponentMeta(LayoutKind.Amax, nEntries, nAnti,
-        if (nEntries == 0) 0 else minKey, if (nEntries == 0) 0 else maxKey,
-        schema, dict, file.pageOffsets, dir.toArray, config.pageSize)
-      java.nio.file.Files.write(metaPath.toPath, meta.serialize())
-      val seq = dataPath.getName.stripPrefix("c").takeWhile(_.isDigit).toLong
-      new Handle(seq, meta, file, metaPath)
+      dir.toArray
     }
   }
 
   final case class LeafInfo(startPage: Int, nPages: Int, nRecs: Int, minKey: Long, maxKey: Long)
 
   /** Parsed Page 0 of a mega leaf. */
-  final class LeafView(handle: Handle, val info: LeafInfo) {
+  final class LeafView(handle: Handle, val info: LeafInfo) extends ColumnarChunk {
     private val p0 = handle.file.readPage(info.startPage)
     private val in = new BufReader(p0)
     val nRecs: Int = in.readVarInt()
@@ -199,7 +166,7 @@ object AmaxLayout {
 
     /** Read only the physical pages a column's megapage spans (§4.4). */
     def columnBytes(e: ColDirEntry): Array[Byte] = {
-      val P = handle.pageSize
+      val P = handle.meta.pageSize
       val first = e.start / P
       val last = if (e.len == 0) first else (e.start + e.len - 1) / P
       val out = new Array[Byte](e.len)
@@ -228,121 +195,24 @@ object AmaxLayout {
     /** Zone-map check: can any value of `colId` fall in [lo, hi]? (§4.3/§4.4)
       * A column absent from this component matches no record.
       */
-    def mayContain(colMeta: ColumnMeta, lo: JValue, hi: JValue): Boolean =
+    override def mayContain(colMeta: ColumnMeta, lo: JValue, hi: JValue): Boolean =
       entry(colMeta.columnId).exists(_.mayContain(colMeta.tpe, lo, hi))
   }
 
-  final class Handle(val seq: Long, val meta: ComponentMeta, val file: PagedFile,
-                     val metaPath: java.io.File) extends ComponentHandle {
-    def pageSize: Int = meta.pageSize
+  final class Handle(seq: Long, meta: ComponentMeta, file: PagedFile, metaPath: java.io.File)
+      extends ColumnarHandle(seq, meta, file, metaPath) {
     lazy val leaves: Array[LeafInfo] = {
       val in = new BufReader(meta.directory)
       Array.fill(in.readVarInt())(
         LeafInfo(in.readVarInt(), in.readVarInt(), in.readVarInt(), in.readLongLE(), in.readLongLE()))
     }
-
-    def newCursor(datasetSchema: Schema, projection: Array[Int]): CompCursor =
-      new Cursor(datasetSchema, projection, null)
-
-    /** Cursor with an optional zone-map predicate: leaves whose min/max
-      * prefixes rule the predicate out keep flowing keys (reconciliation
-      * still needs them) but are flagged pruned so the scan skips
-      * materialization and never touches their data pages.
-      */
-    def newCursor(datasetSchema: Schema, projection: Array[Int],
-                  zoneFilter: ZonePredicate): Cursor = new Cursor(datasetSchema, projection, zoneFilter)
-
-    final class Cursor(datasetSchema: Schema, projection: Array[Int],
-                       zoneFilter: ZonePredicate) extends CompCursor {
-      private val projCols: Array[ColumnMeta] =
-        (if (projection == null) meta.schema.columns.toArray
-         else projection.filter(_ < datasetSchema.numColumns).map(datasetSchema.column))
-
-      private var leafIdx = -1
-      private var view: LeafView = _
-      private var slot = -1
-      private var readers: Array[ColumnChunkReader] = _
-      private var pendingSkip = 0
-      private var materialized = false
-      var leafPruned = false
-      var key: Long = _
-      var isAntimatter: Boolean = _
-
-      def advance(): Boolean = {
-        if (view != null && slot >= 0 && !isAntimatter && !materialized) pendingSkip += 1
-        materialized = false
-        slot += 1
-        while (view == null || slot >= view.nRecs) {
-          leafIdx += 1
-          if (leafIdx >= leaves.length) return false
-          view = new LeafView(Handle.this, leaves(leafIdx))
-          readers = null
-          pendingSkip = 0
-          slot = 0
-          leafPruned = zoneFilter != null && !zoneFilter.mayMatch(view)
-        }
-        key = view.keys(slot)
-        isAntimatter = view.anti(slot)
-        true
-      }
-
-      def rowMajor: Boolean = false
-
-      def shapes(): Array[Shape] = {
-        require(!isAntimatter, "anti-matter entries have no columns")
-        if (readers == null) readers = projCols.map(view.reader)
-        if (pendingSkip > 0) { readers.foreach(_.skipRecords(pendingSkip)); pendingSkip = 0 }
-        materialized = true
-        val out = new Array[Shape](datasetSchema.numColumns)
-        var i = 0
-        while (i < readers.length) { out(projCols(i).columnId) = readers(i).nextRecordShape(); i += 1 }
-        out
-      }
-
-      def record(): JObject = {
-        val sh = shapes()
-        Assembler.assembleRecord(datasetSchema, id => sh(id))
-      }
-    }
-
-    def pointLookup(key: Long, datasetSchema: Schema,
-                    projection: Array[Int] = null): Option[Option[JObject]] = {
-      if (meta.numEntries == 0 || key < meta.minKey || key > meta.maxKey) return None
-      val cols: Seq[ColumnMeta] =
-        if (projection == null) meta.schema.columns
-        else projection.filter(_ < datasetSchema.numColumns).map(datasetSchema.column).toSeq
-      var lo = 0; var hi = leaves.length - 1
-      while (lo <= hi) {
-        val mid = (lo + hi) >>> 1
-        if (key < leaves(mid).minKey) hi = mid - 1
-        else if (key > leaves(mid).maxKey) lo = mid + 1
-        else {
-          val view = new LeafView(this, leaves(mid))
-          val slot = java.util.Arrays.binarySearch(view.keys, key)
-          if (slot < 0) return None
-          if (view.anti(slot)) return Some(None)
-          val skip = PkChunk.rank(view.anti, slot)
-          val shapes = new Array[Shape](datasetSchema.numColumns)
-          cols.foreach { m =>
-            val r = view.reader(m)
-            r.skipRecords(skip)
-            shapes(m.columnId) = r.nextRecordShape()
-          }
-          return Some(Some(Assembler.assembleRecord(datasetSchema, id => shapes(id))))
-        }
-      }
-      None
-    }
+    lazy val chunks: Array[PageInfo] = leaves.map(l => PageInfo(l.nRecs, l.minKey, l.maxKey))
+    def chunk(i: Int): ColumnarChunk = new LeafView(this, leaves(i))
   }
 
   /** Conjunction of per-column range predicates for leaf zone-map pruning. */
   final case class ZonePredicate(ranges: Seq[(ColumnMeta, JValue, JValue)]) {
-    def mayMatch(view: LeafView): Boolean =
-      ranges.forall { case (m, lo, hi) => view.mayContain(m, lo, hi) }
-  }
-
-  def open(seq: Long, dataPath: java.io.File, metaPath: java.io.File, cache: BufferCache): Handle = {
-    val meta = ComponentMeta.deserialize(java.nio.file.Files.readAllBytes(metaPath.toPath))
-    new Handle(seq, meta, PagedFile.open(dataPath, meta.pageOffsets, cache), metaPath)
+    def mayMatch(chunk: ColumnarChunk): Boolean =
+      ranges.forall { case (m, lo, hi) => chunk.mayContain(m, lo, hi) }
   }
 }

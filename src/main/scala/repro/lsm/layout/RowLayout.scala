@@ -3,6 +3,7 @@ package repro.lsm.layout
 import repro.core._
 import repro.encoding.{BufReader, BufWriter}
 import repro.lsm._
+import repro.lsm.layout.AmaxLayout.ZonePredicate
 import scala.collection.mutable
 
 /** Slotted-page component for the row-major layouts (Open and VB).
@@ -14,15 +15,11 @@ import scala.collection.mutable
   */
 object RowLayout {
 
-  final class Writer(kind: LayoutKind, schema: Schema, dict: FieldDict, config: LsmConfig) {
-    private val pages = mutable.ArrayBuffer.empty[Array[Byte]]
-    private val pageMinMax = mutable.ArrayBuffer.empty[(Int, Long, Long)]
+  final class Writer(kind: LayoutKind, schema: Schema, dict: FieldDict, config: LsmConfig)
+      extends ComponentWriter(kind, schema, dict, config) {
+    private val pageDir = mutable.ArrayBuffer.empty[PageInfo]
     private val curRecs = mutable.ArrayBuffer.empty[(Long, Boolean, Array[Byte])]
     private var curBytes = 0
-    private var nEntries = 0L
-    private var nAnti = 0L
-    private var minKey = Long.MaxValue
-    private var maxKey = Long.MinValue
 
     /** `body` is the pre-serialized record in this layout's row format
       * (serialized at insert time into the in-memory component, so the
@@ -32,9 +29,7 @@ object RowLayout {
       val b = if (antimatter) Array.emptyByteArray else body
       curRecs += ((key, antimatter, b))
       curBytes += b.length + 13
-      nEntries += 1
-      if (antimatter) nAnti += 1
-      minKey = math.min(minKey, key); maxKey = math.max(maxKey, key)
+      count(key, antimatter)
       if (curBytes >= config.pageSize - 64) cutPage()
     }
 
@@ -50,39 +45,18 @@ object RowLayout {
       }
       curRecs.foreach { case (_, _, b) => out.writeBytes(b) }
       pages += out.toArray
-      pageMinMax += ((curRecs.length, curRecs.head._1, curRecs.last._1))
+      pageDir += PageInfo(curRecs.length, curRecs.head._1, curRecs.last._1)
       curRecs.clear(); curBytes = 0
     }
 
-    def finish(dataPath: java.io.File, metaPath: java.io.File, cache: BufferCache): ComponentHandle = {
-      cutPage()
-      val file = PagedFile.write(dataPath, pages, cache)
-      val dir = new BufWriter(pageMinMax.length * 20 + 8)
-      dir.writeVarInt(pageMinMax.length)
-      pageMinMax.foreach { case (n, mn, mx) => dir.writeVarInt(n); dir.writeLongLE(mn); dir.writeLongLE(mx) }
-      val meta = ComponentMeta(kind, nEntries, nAnti,
-        if (nEntries == 0) 0 else minKey, if (nEntries == 0) 0 else maxKey,
-        schema, dict, file.pageOffsets, dir.toArray, config.pageSize)
-      java.nio.file.Files.write(metaPath.toPath, meta.serialize())
-      new Handle(seqOf(dataPath), meta, file, metaPath)
-    }
+    protected def finishPages(): Array[Byte] = { cutPage(); PageInfo.write(pageDir) }
   }
 
-  private def seqOf(f: java.io.File): Long =
-    f.getName.stripPrefix("c").takeWhile(_.isDigit).toLong
+  final class Handle(seq: Long, meta: ComponentMeta, file: PagedFile, metaPath: java.io.File)
+      extends ComponentHandle(seq, meta, file, metaPath) {
+    lazy val chunks: Array[PageInfo] = PageInfo.parse(meta.directory)
 
-  final case class PageInfo(nRecs: Int, minKey: Long, maxKey: Long)
-
-  def parseDirectory(dir: Array[Byte]): Array[PageInfo] = {
-    val in = new BufReader(dir)
-    Array.fill(in.readVarInt())(PageInfo(in.readVarInt(), in.readLongLE(), in.readLongLE()))
-  }
-
-  final class Handle(val seq: Long, val meta: ComponentMeta, val file: PagedFile,
-                     val metaPath: java.io.File) extends ComponentHandle {
-    private lazy val dir = parseDirectory(meta.directory)
-
-    def newCursor(datasetSchema: Schema, projection: Array[Int]): CompCursor = new Cursor
+    def newCursor(datasetSchema: Schema, projection: Array[Int], zone: ZonePredicate): CompCursor = new Cursor
 
     private def decodeBody(page: Array[Byte], off: Int): JObject = {
       val v = if (meta.layout == LayoutKind.Open) OpenCodec.read(page, off)
@@ -118,48 +92,38 @@ object RowLayout {
         true
       }
 
-      def rowMajor: Boolean = true
-      def shapes(): Array[Shape] = null
-      def record(): JObject = decodeBody(page, offset)
+      override def record(): JObject = decodeBody(page, offset)
     }
 
-    def pointLookup(key: Long, datasetSchema: Schema,
-                    projection: Array[Int] = null): Option[Option[JObject]] = {
-      // Row-major: the whole record is decoded regardless of projection.
-      if (meta.numEntries == 0 || key < meta.minKey || key > meta.maxKey) return None
-      // Binary search pages by key range, then slots within the page.
-      var lo = 0; var hi = dir.length - 1
-      while (lo <= hi) {
-        val mid = (lo + hi) >>> 1
-        if (key < dir(mid).minKey) hi = mid - 1
-        else if (key > dir(mid).maxKey) lo = mid + 1
+    /** Binary search over a page's slot directory. Row-major: the whole
+      * record is decoded regardless of projection.
+      */
+    private def search(page: Array[Byte], key: Long): Option[Option[JObject]] = {
+      val in = new BufReader(page)
+      val n = in.readVarInt()
+      val base = in.position
+      var a = 0; var b = n - 1
+      while (a <= b) {
+        val m = (a + b) >>> 1
+        val r = new BufReader(page, base + m * 13)
+        val k = r.readLongLE()
+        if (key < k) b = m - 1
+        else if (key > k) a = m + 1
         else {
-          val page = file.readPage(mid)
-          val in = new BufReader(page)
-          val n = in.readVarInt()
-          val base = in.position
-          var a = 0; var b = n - 1
-          while (a <= b) {
-            val m = (a + b) >>> 1
-            val r = new BufReader(page, base + m * 13)
-            val k = r.readLongLE()
-            if (key < k) b = m - 1
-            else if (key > k) a = m + 1
-            else {
-              val anti = r.readByte() == 1
-              val off = r.readIntLE()
-              return Some(if (anti) None else Some(decodeBody(page, off)))
-            }
-          }
-          return None
+          val anti = r.readByte() == 1
+          val off = r.readIntLE()
+          return Some(if (anti) None else Some(decodeBody(page, off)))
         }
       }
       None
     }
-  }
 
-  def open(seq: Long, dataPath: java.io.File, metaPath: java.io.File, cache: BufferCache): Handle = {
-    val meta = ComponentMeta.deserialize(java.nio.file.Files.readAllBytes(metaPath.toPath))
-    new Handle(seq, meta, PagedFile.open(dataPath, meta.pageOffsets, cache), metaPath)
+    def pointLookup(key: Long, datasetSchema: Schema, projection: Array[Int]): Option[Option[JObject]] = {
+      val i = chunkOf(key)
+      if (i < 0) None else search(file.readPage(i), key)
+    }
+
+    def forwardLookup(datasetSchema: Schema, projection: Array[Int]): ForwardLookup =
+      new ForwardLookup(this, { i => val page = file.readPage(i); key => search(page, key) })
   }
 }

@@ -131,15 +131,18 @@ object Engine {
 
   private type GroupTable = mutable.LinkedHashMap[Vector[JValue], Array[JValue]]
 
-  /** Aggregates of a group that has seen no row: COUNT 0, MAX/MIN NULL. */
-  private def emptyAccumulators(g: GroupSpec): Array[JValue] =
-    g.aggs.map(a => if (a.kind == "count") JLong(0): JValue else JNull).toArray
+  /** The aggregate kinds of `g` by position, resolved once per plan. */
+  private def kindsOf(g: GroupSpec): Array[String] = g.aggs.map(_.kind).toArray
 
-  private def updateGroup(table: GroupTable, g: GroupSpec, key: Vector[JValue], vals: Array[JValue]): Unit = {
-    val acc = table.getOrElseUpdate(key, emptyAccumulators(g))
+  /** Aggregates of a group that has seen no row: COUNT 0, MAX/MIN NULL. */
+  private def emptyAccumulators(kinds: Array[String]): Array[JValue] =
+    kinds.map(k => if (k == "count") JLong(0): JValue else JNull)
+
+  private def updateGroup(table: GroupTable, kinds: Array[String], key: Vector[JValue], vals: Array[JValue]): Unit = {
+    val acc = table.getOrElseUpdate(key, emptyAccumulators(kinds))
     var i = 0
-    while (i < g.aggs.length) {
-      g.aggs(i).kind match {
+    while (i < kinds.length) {
+      kinds(i) match {
         case "count" =>
           acc(i) = JLong(acc(i).asInstanceOf[JLong].v + 1)
         case "max" =>
@@ -161,7 +164,7 @@ object Engine {
       case Some(gs) =>
         val cols = gs.keys.map(_._1) ++ gs.aggs.map(_.as)
         val rows =
-          if (gs.keys.isEmpty && table.isEmpty) Iterator.single(emptyAccumulators(gs))
+          if (gs.keys.isEmpty && table.isEmpty) Iterator.single(emptyAccumulators(kindsOf(gs)))
           else table.iterator.map { case (k, acc) => (k ++ acc).toArray }
         finish(plan, cols, rows)
       case None =>
@@ -222,6 +225,7 @@ object Engine {
     // model §5 starts from): each operator consumes a buffer of env rows and
     // produces a new buffer.
     val g = plan.group
+    val kinds = g.map(kindsOf).orNull
     val table: GroupTable = mutable.LinkedHashMap.empty
     val outRows = mutable.ArrayBuffer.empty[Array[JValue]]
     val batch = mutable.ArrayBuffer.empty[Array[JValue]]
@@ -253,7 +257,7 @@ object Engine {
           case Some(gs) =>
             val key = gs.keys.map(k => Expr.eval(k._2, env)).toVector
             val vals = gs.aggs.map(a => if (a.expr == null) JNull else Expr.eval(a.expr, env)).toArray
-            updateGroup(table, gs, key, vals)
+            updateGroup(table, kinds, key, vals)
           case None =>
             outRows += plan.select.map(s => Expr.eval(s._2, env)).toArray
         }
@@ -368,10 +372,11 @@ object Engine {
       case Some(gs) =>
         val keyFs = gs.keys.map(k => Expr.compile(rewrite(k._2), names)).toArray
         val aggFs = gs.aggs.map(a => if (a.expr == null) null else Expr.compile(rewrite(a.expr), names)).toArray
+        val kinds = kindsOf(gs)
         env => {
           val key = keyFs.map(_(env)).toVector
           val vals = aggFs.map(f => if (f == null) JNull else f(env))
-          updateGroup(table, gs, key, vals)
+          updateGroup(table, kinds, key, vals)
         }
       case None =>
         val selFs = plan.select.map(s => Expr.compile(rewrite(s._2), names)).toArray

@@ -195,6 +195,23 @@ class LsmSpec extends AnyFunSuite {
     assert(cache.stats.logicalReads >= dataPages, "APAX touches every page regardless of projection")
   }
 
+  test("[vb] batched lookup requests each page once, not once per key") {
+    val cache = new BufferCache(512)
+    val ds = new LsmDataset("vb-fwd", tmpDir(), LayoutKind.VB, smallConfig, cache)
+    (0L until 2000L).map(gamerRecord).foreach(ds.upsert)
+    ds.forceFullMerge()
+    val h = ds.components.head
+    assert(ds.components.size == 1 && h.file.numPages > 1)
+    // An 8 KB page holds far more than ten of these records.
+    val keys = (0L until 10L).toArray
+    cache.clear(); cache.stats.reset()
+    assert(ds.batchedLookup(keys, null).map(_._1).toSeq == keys.toSeq)
+    assert(cache.stats.logicalReads == 1, "ten keys in one page: one page request")
+    cache.clear(); cache.stats.reset()
+    assert(ds.batchedLookup((0L until 2000L).toArray, null).size == 2000)
+    assert(cache.stats.logicalReads == h.file.numPages, "every key: each page requested once")
+  }
+
   test("[amax] projection reads only page 0 + the projected megapages") {
     val cache = new BufferCache(512)
     val ds = new LsmDataset("amax-io", tmpDir(), LayoutKind.Amax, smallConfig, cache)
