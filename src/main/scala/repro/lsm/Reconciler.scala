@@ -6,16 +6,18 @@ package repro.lsm
   *
   * One heap of source indices is ordered by (current key, sequence number
   * descending); `seqs(i)` is source i's sequence number, `Long.MaxValue` for
-  * the memory component. [[next]] positions the next key: the source with
-  * the highest sequence number among those holding it wins, and every other
-  * source holding that key is shadowed. The winner's cursor stays on the
+  * the memory component, and `keys(i)` its cursor's key when it entered the
+  * heap (a cursor in the heap does not move). [[next]] positions the next
+  * key: the source with the highest sequence number among those holding it
+  * wins, and every other source holding that key is shadowed. The winner's cursor stays on the
   * entry until the following [[next]]; shadowed sources advance then too,
   * unless the caller advances them earlier with [[advanceShadowed]].
   */
 final class Reconciler(cursors: Array[CompCursor], seqs: Array[Long]) {
+  private val keys = new Array[Long](cursors.length)
   private val heap = new java.util.PriorityQueue[Integer](math.max(1, cursors.length),
     (a: Integer, b: Integer) => {
-      val c = java.lang.Long.compare(cursors(a).key, cursors(b).key)
+      val c = java.lang.Long.compare(keys(a), keys(b))
       if (c != 0) c else java.lang.Long.compare(seqs(b), seqs(a))
     })
   private val shadowedIdx = new Array[Int](cursors.length)
@@ -26,7 +28,7 @@ final class Reconciler(cursors: Array[CompCursor], seqs: Array[Long]) {
 
   cursors.indices.foreach(push)
 
-  private def push(i: Int): Unit = if (cursors(i).advance()) heap.add(i)
+  private def push(i: Int): Unit = if (cursors(i).advance()) { keys(i) = cursors(i).key; heap.add(i) }
 
   /** Advances the previous winner and any shadowed source still on the
     * previous key, then positions the next key. False when all are drained.
@@ -36,15 +38,15 @@ final class Reconciler(cursors: Array[CompCursor], seqs: Array[Long]) {
     advanceShadowed()
     if (heap.isEmpty) { winner = -1; return false }
     winner = heap.poll()
-    val k = cursors(winner).key
-    while (!heap.isEmpty && cursors(heap.peek()).key == k) {
+    val k = keys(winner)
+    while (!heap.isEmpty && keys(heap.peek()) == k) {
       shadowedIdx(nShadowed) = heap.poll()
       nShadowed += 1
     }
     true
   }
 
-  def key: Long = cursors(winner).key
+  def key: Long = keys(winner)
   def cursor: CompCursor = cursors(winner)
 
   /** Sources holding the current key under the winner, newest first. */
