@@ -110,18 +110,41 @@ final class DeltaStringWriter extends ValueWriter {
   def count: Int = n
   def finish(): Array[Byte] = out.toArray
 }
+/** Each value is `buf(0 until known)` followed by the suffix bytes at
+  * `bytes(sufPos until sufPos + sufLen)`. Reading a value copies into `buf`
+  * only the previous suffix bytes its shared prefix needs, so `skip` builds
+  * no `String` and copies only bytes that a later value shares.
+  */
 final class DeltaStringReader(bytes: Array[Byte], start: Int, end: Int) extends ValueReader {
   private val in = new BufReader(bytes, start, end)
-  private var prev: Array[Byte] = Array.emptyByteArray
-  override def nextString(): String = {
+  private var buf = new Array[Byte](32)
+  private var known = 0
+  private var sufPos = 0
+  private var sufLen = 0
+
+  /** Reads the next value's header and makes its prefix `buf(0 until known)`. */
+  private def advance(): Unit = {
     val p = in.readVarInt(); val s = in.readVarInt()
-    val cur = new Array[Byte](p + s)
-    System.arraycopy(prev, 0, cur, 0, p)
-    System.arraycopy(in.readBytes(s), 0, cur, p, s)
-    prev = cur
-    new String(cur, StandardCharsets.UTF_8)
+    if (p > known) {
+      if (p > buf.length) buf = java.util.Arrays.copyOf(buf, math.max(p, 2 * buf.length))
+      System.arraycopy(bytes, sufPos, buf, known, p - known)
+    }
+    known = p
+    sufPos = in.position
+    sufLen = s
+    in.skipBytes(s)
   }
-  def skip(n: Int): Unit = { var i = 0; while (i < n) { nextString(); i += 1 } }
+
+  override def nextString(): String = {
+    advance()
+    val n = known + sufLen
+    if (n > buf.length) buf = java.util.Arrays.copyOf(buf, math.max(n, 2 * buf.length))
+    System.arraycopy(bytes, sufPos, buf, known, sufLen)
+    known = n
+    sufLen = 0
+    new String(buf, 0, n, StandardCharsets.UTF_8)
+  }
+  def skip(n: Int): Unit = { var i = 0; while (i < n) { advance(); i += 1 } }
 }
 
 final class BitBoolWriter extends ValueWriter {

@@ -63,17 +63,25 @@ object Bench {
     d
   }
 
-  /** Insert-only ingestion (Fig. 13a's first four datasets). */
+  /** Insert-only ingestion (Fig. 13a's first four datasets). The timed
+    * build is the second of its dataset × layout: the first, deleted
+    * untimed, carries the JIT compilation of the paths this dataset's shape
+    * reaches, which otherwise lands on whichever build runs first in the JVM.
+    */
   def insertOnly(name: String, layout: LayoutKind): Built =
     built.getOrElseUpdate((name, layout.name), {
       warmed
       val records = n(name)
-      val ds = new LsmDataset(name, freshDir(s"$name-${layout.name}"), layout, config,
-        cache, txLog = new TxLog)
-      val t0 = System.nanoTime()
-      Datasets.byName(name, records).foreach(ds.upsert)
-      ds.flush()
-      val secs = (System.nanoTime() - t0) / 1e9
+      def build(tag: String): (LsmDataset, Double) = {
+        val ds = new LsmDataset(name, freshDir(tag), layout, config, cache, txLog = new TxLog)
+        System.gc() // the timed build does not pay for earlier builds' garbage
+        val t0 = System.nanoTime()
+        Datasets.byName(name, records).foreach(ds.upsert)
+        ds.flush()
+        (ds, (System.nanoTime() - t0) / 1e9)
+      }
+      build(s"$name-${layout.name}-warm")._1.components.foreach(_.delete())
+      val (ds, secs) = build(s"$name-${layout.name}")
       Built(ds, secs, records)
     })
 

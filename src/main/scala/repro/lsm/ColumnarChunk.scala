@@ -67,10 +67,13 @@ abstract class ColumnarHandle(seq: Long, meta: ComponentMeta, file: PagedFile, m
 
 /** Column readers over one chunk's live records, which only move forward:
   * reading the `live`-th live record skips the ones before it in one batch.
+  * The last record assembled is kept, so a repeated key reads it again.
   */
 private final class ChunkRecords(c: ColumnarChunk, cols: Array[ColumnMeta], datasetSchema: Schema) {
   private val readers = cols.map(c.reader)
   private var pos = 0 // live records the readers have passed
+  private var lastSlot = -1
+  private var lastRecord: JObject = _
 
   /** Global-columnId-indexed shapes of the `live`-th live record. */
   def shapes(live: Int): Array[Shape] = {
@@ -83,8 +86,12 @@ private final class ChunkRecords(c: ColumnarChunk, cols: Array[ColumnMeta], data
   }
 
   def recordAt(slot: Int): JObject = {
-    val sh = shapes(PkChunk.rank(c.anti, slot))
-    Assembler.assembleRecord(datasetSchema, id => sh(id))
+    if (slot != lastSlot) {
+      val sh = shapes(PkChunk.rank(c.anti, slot))
+      lastRecord = Assembler.assembleRecord(datasetSchema, id => sh(id))
+      lastSlot = slot
+    }
+    lastRecord
   }
 }
 

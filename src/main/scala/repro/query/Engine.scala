@@ -129,46 +129,15 @@ object Engine {
     plan.pipeline.isEmpty && plan.select.isEmpty &&
       plan.group.exists(g => g.keys.isEmpty && g.aggs.forall(_.kind == "count"))
 
-  private type GroupTable = mutable.LinkedHashMap[Vector[JValue], Array[JValue]]
-
-  /** The aggregate kinds of `g` by position, resolved once per plan. */
-  private def kindsOf(g: GroupSpec): Array[String] = g.aggs.map(_.kind).toArray
-
-  /** Aggregates of a group that has seen no row: COUNT 0, MAX/MIN NULL. */
-  private def emptyAccumulators(kinds: Array[String]): Array[JValue] =
-    kinds.map(k => if (k == "count") JLong(0): JValue else JNull)
-
-  private def updateGroup(table: GroupTable, kinds: Array[String], key: Vector[JValue], vals: Array[JValue]): Unit = {
-    val acc = table.getOrElseUpdate(key, emptyAccumulators(kinds))
-    var i = 0
-    while (i < kinds.length) {
-      kinds(i) match {
-        case "count" =>
-          acc(i) = JLong(acc(i).asInstanceOf[JLong].v + 1)
-        case "max" =>
-          if (vals(i) != JNull && (acc(i) == JNull || Expr.truthy(Expr.compare(">", vals(i), acc(i)))))
-            acc(i) = vals(i)
-        case "min" =>
-          if (vals(i) != JNull && (acc(i) == JNull || Expr.truthy(Expr.compare("<", vals(i), acc(i)))))
-            acc(i) = vals(i)
-      }
-      i += 1
-    }
-  }
+  private def groupTable(gs: GroupSpec): GroupTable = new GroupTable(gs.keys.length, gs.aggs.map(_.kind))
 
   /** The output of either engine: one row per group (a global aggregate
     * yields one row even over empty input), or the selected rows.
     */
   private def result(plan: PlanSpec, table: GroupTable, selected: Iterable[Array[JValue]]): QueryResult =
     plan.group match {
-      case Some(gs) =>
-        val cols = gs.keys.map(_._1) ++ gs.aggs.map(_.as)
-        val rows =
-          if (gs.keys.isEmpty && table.isEmpty) Iterator.single(emptyAccumulators(kindsOf(gs)))
-          else table.iterator.map { case (k, acc) => (k ++ acc).toArray }
-        finish(plan, cols, rows)
-      case None =>
-        finish(plan, plan.select.map(_._1), selected.iterator)
+      case Some(gs) => finish(plan, gs.keys.map(_._1) ++ gs.aggs.map(_.as), table.rows)
+      case None     => finish(plan, plan.select.map(_._1), selected.iterator)
     }
 
   /** ORDER BY … LIMIT. Rows are ordered by the order column under
@@ -225,8 +194,7 @@ object Engine {
     // model §5 starts from): each operator consumes a buffer of env rows and
     // produces a new buffer.
     val g = plan.group
-    val kinds = g.map(kindsOf).orNull
-    val table: GroupTable = mutable.LinkedHashMap.empty
+    val table = g.map(groupTable).orNull
     val outRows = mutable.ArrayBuffer.empty[Array[JValue]]
     val batch = mutable.ArrayBuffer.empty[Array[JValue]]
 
@@ -255,9 +223,9 @@ object Engine {
         val env = new Env(r, names)
         g match {
           case Some(gs) =>
-            val key = gs.keys.map(k => Expr.eval(k._2, env)).toVector
+            val key = gs.keys.map(k => Expr.eval(k._2, env)).toArray
             val vals = gs.aggs.map(a => if (a.expr == null) JNull else Expr.eval(a.expr, env)).toArray
-            updateGroup(table, kinds, key, vals)
+            table.update(key, vals)
           case None =>
             outRows += plan.select.map(s => Expr.eval(s._2, env)).toArray
         }
@@ -363,20 +331,29 @@ object Engine {
     val names = (pathSlots ++ extraVars).distinct.toArray
 
     val g = plan.group
-    val table: GroupTable = mutable.LinkedHashMap.empty
+    val table = g.map(groupTable).orNull
     val outRows = mutable.ArrayBuffer.empty[Array[JValue]]
 
     // Fuse the pipeline into one closure chain ending at the group operator
-    // (the pipeline breaker stays a regular operator, as in Figure 11).
+    // (the pipeline breaker stays a regular operator, as in Figure 11): keys
+    // and aggregate arguments are evaluated straight into the group's
+    // accumulators. COUNT ignores its argument, so it is not evaluated.
     val terminal: Env => Unit = g match {
       case Some(gs) =>
         val keyFs = gs.keys.map(k => Expr.compile(rewrite(k._2), names)).toArray
-        val aggFs = gs.aggs.map(a => if (a.expr == null) null else Expr.compile(rewrite(a.expr), names)).toArray
-        val kinds = kindsOf(gs)
+        val aggFs = gs.aggs.map(a =>
+          if (a.kind == "count" || a.expr == null) null else Expr.compile(rewrite(a.expr), names)).toArray
+        val keys = new Array[JValue](keyFs.length) // reused: the table copies a new group's keys
         env => {
-          val key = keyFs.map(_(env)).toVector
-          val vals = aggFs.map(f => if (f == null) JNull else f(env))
-          updateGroup(table, kinds, key, vals)
+          var i = 0
+          while (i < keys.length) { keys(i) = keyFs(i)(env); i += 1 }
+          val group = table.groupOf(keys)
+          var a = 0
+          while (a < aggFs.length) {
+            val f = aggFs(a)
+            table.accumulate(a, group, if (f == null) JNull else f(env))
+            a += 1
+          }
         }
       case None =>
         val selFs = plan.select.map(s => Expr.compile(rewrite(s._2), names)).toArray
@@ -416,4 +393,179 @@ object Engine {
 
     result(plan, table, outRows)
   }
+}
+
+/** GROUP BY's hash-aggregation table, which both engines feed. Groups are
+  * numbered in the order their keys first arrive, and [[rows]] returns them
+  * in that order. Keys are equal as [[JValue]]s are, except that NaN equals
+  * NaN: 1 and 1.0 are two groups, -0.0 and 0.0 one (the first-seen key is
+  * kept). A one-key plan probes with the key value itself, only a multi-key
+  * plan with an array of them, and a global aggregate (no key) has its one
+  * group from the start and never hashes, so it yields one row even over
+  * empty input.
+  *
+  * Each aggregate keeps a column of accumulators indexed by group: COUNT a
+  * `long`, MAX/MIN a value that NULL and values [[Expr.order]] cannot order
+  * with it leave unchanged.
+  */
+private[query] final class GroupTable(numKeys: Int, kinds: Seq[String]) {
+  import GroupTable._
+
+  private val code: Array[Int] = kinds.map {
+    case "count" => Count
+    case "max"   => Max
+    case "min"   => Min
+    case k       => throw new IllegalArgumentException(s"unknown aggregate $k")
+  }.toArray
+  private var capacity = if (numKeys == 0) 1 else 16
+  private var size = if (numKeys == 0) 1 else 0
+  // Per group: its key (a JValue, or an Array[JValue] when numKeys > 1) and hash.
+  private var groupKeys = new Array[AnyRef](capacity)
+  private var hashes = new Array[Int](capacity)
+  // Open addressing with linear probing, at most half full: group + 1, 0 = free.
+  private var slots = new Array[Int](2 * capacity)
+  private val counts = Array.tabulate(code.length)(a => if (code(a) == Count) new Array[Long](capacity) else null)
+  // MAX/MIN accumulators; null until the group sees a value.
+  private val values = Array.tabulate(code.length)(a => if (code(a) == Count) null else new Array[JValue](capacity))
+
+  /** The group of one row's key values, added on first sight. A multi-key
+    * array is copied then, so the caller may reuse it.
+    */
+  def groupOf(keys: Array[JValue]): Int =
+    if (numKeys == 0) 0
+    else if (numKeys == 1) find(keys(0), spread(keyHash(keys(0))))
+    else {
+      var h = 1
+      var i = 0
+      while (i < numKeys) { h = 31 * h + keyHash(keys(i)); i += 1 }
+      find(keys, spread(h))
+    }
+
+  /** Folds `v` into aggregate `a` of group `g` (COUNT ignores `v`). */
+  def accumulate(a: Int, g: Int, v: JValue): Unit = code(a) match {
+    case Count => counts(a)(g) += 1
+    case Max   => offer(values(a), g, v, max = true)
+    case _     => offer(values(a), g, v, max = false)
+  }
+
+  /** One row's materialized keys and aggregate arguments. */
+  def update(keys: Array[JValue], vals: Array[JValue]): Unit = {
+    val g = groupOf(keys)
+    var a = 0
+    while (a < vals.length) { accumulate(a, g, vals(a)); a += 1 }
+  }
+
+  /** One row per group, built now: the keys, then the aggregates. */
+  def rows: Iterator[Array[JValue]] = Iterator.range(0, size).map { g =>
+    val row = new Array[JValue](numKeys + code.length)
+    if (numKeys == 1) row(0) = groupKeys(g).asInstanceOf[JValue]
+    else if (numKeys > 1) System.arraycopy(groupKeys(g), 0, row, 0, numKeys)
+    var a = 0
+    while (a < code.length) {
+      row(numKeys + a) =
+        if (code(a) == Count) JLong(counts(a)(g))
+        else { val v = values(a)(g); if (v == null) JNull else v }
+      a += 1
+    }
+    row
+  }
+
+  private def offer(acc: Array[JValue], g: Int, v: JValue, max: Boolean): Unit =
+    if (v ne JNull) {
+      val cur = acc(g)
+      if (cur == null) acc(g) = v
+      else {
+        val c = Expr.order(v, cur)
+        if (c != Expr.Incomparable && (if (max) c > 0 else c < 0)) acc(g) = v
+      }
+    }
+
+  private def find(key: AnyRef, h: Int): Int = {
+    val mask = slots.length - 1
+    var i = h & mask
+    var s = slots(i)
+    while (s != 0) {
+      val g = s - 1
+      if (hashes(g) == h && sameKey(groupKeys(g), key)) return g
+      i = (i + 1) & mask
+      s = slots(i)
+    }
+    if (size == capacity) { grow(); i = freeSlot(h) }
+    val g = size
+    size += 1
+    groupKeys(g) = if (numKeys == 1) key else key.asInstanceOf[Array[JValue]].clone()
+    hashes(g) = h
+    slots(i) = g + 1
+    g
+  }
+
+  private def sameKey(a: AnyRef, b: AnyRef): Boolean =
+    if (numKeys == 1) keyEquals(a.asInstanceOf[JValue], b.asInstanceOf[JValue])
+    else {
+      val x = a.asInstanceOf[Array[JValue]]
+      val y = b.asInstanceOf[Array[JValue]]
+      var i = 0
+      while (i < numKeys && keyEquals(x(i), y(i))) i += 1
+      i == numKeys
+    }
+
+  private def freeSlot(h: Int): Int = {
+    val mask = slots.length - 1
+    var i = h & mask
+    while (slots(i) != 0) i = (i + 1) & mask
+    i
+  }
+
+  private def grow(): Unit = {
+    capacity *= 2
+    groupKeys = java.util.Arrays.copyOf(groupKeys, capacity)
+    hashes = java.util.Arrays.copyOf(hashes, capacity)
+    var a = 0
+    while (a < code.length) {
+      if (counts(a) != null) counts(a) = java.util.Arrays.copyOf(counts(a), capacity)
+      else values(a) = java.util.Arrays.copyOf(values(a), capacity)
+      a += 1
+    }
+    slots = new Array[Int](2 * capacity)
+    var g = 0
+    while (g < size) { slots(freeSlot(hashes(g))) = g + 1; g += 1 }
+  }
+}
+
+private[query] object GroupTable {
+  private final val Count = 0
+  private final val Max = 1
+  private final val Min = 2
+
+  /** Group-key equality: [[JValue]] equality, except that NaN equals NaN,
+    * also inside arrays and objects.
+    */
+  def keyEquals(a: JValue, b: JValue): Boolean = a match {
+    case JLong(x)   => b match { case JLong(y) => x == y; case _ => false }
+    case JString(x) => b match { case JString(y) => x == y; case _ => false }
+    case JDouble(x) => b match { case JDouble(y) => x == y || (x.isNaN && y.isNaN); case _ => false }
+    case JArray(xs) => b match {
+      case JArray(ys) => xs.length == ys.length && xs.lazyZip(ys).forall(keyEquals)
+      case _          => false
+    }
+    case JObject(fs) => b match {
+      case JObject(gs) =>
+        fs.length == gs.length && fs.lazyZip(gs).forall((f, g) => f._1 == g._1 && keyEquals(f._2, g._2))
+      case _ => false
+    }
+    case _ => a == b
+  }
+
+  /** A hash consistent with [[keyEquals]]: -0.0 and 0.0 hash alike, and so
+    * does every NaN (`hashCode` goes through `doubleToLongBits`, also for
+    * the doubles inside arrays and objects).
+    */
+  private def keyHash(v: JValue): Int = v match {
+    case JLong(x)   => java.lang.Long.hashCode(x)
+    case JString(s) => s.hashCode
+    case JDouble(d) => if (d == 0.0) 0 else java.lang.Double.hashCode(d)
+    case other      => other.hashCode
+  }
+
+  private def spread(h: Int): Int = { val x = h * 0x9E3779B9; x ^ (x >>> 16) }
 }

@@ -38,16 +38,26 @@ object Expr {
 
   def truthy(v: JValue): Boolean = v == JBool(true)
 
-  /** Two numbers by value: two longs exactly, two doubles by `Double.compare`
-    * (NaN above +Inf, -0.0 below 0.0), and a long against a double exactly,
-    * so that the order stays transitive above 2^53.
+  /** Two values of one kind in order: two strings, two booleans, or two
+    * numbers by value (two longs exactly, two doubles by `Double.compare`,
+    * so NaN above +Inf and -0.0 below 0.0, and a long against a double
+    * exactly, so that the order stays transitive above 2^53). Any other pair
+    * gives [[Incomparable]].
     */
-  private def compareNumbers(l: JValue, r: JValue): Int = (l, r) match {
-    case (JLong(a), JLong(b))     => java.lang.Long.compare(a, b)
-    case (JDouble(a), JDouble(b)) => java.lang.Double.compare(a, b)
-    case (JLong(a), JDouble(b))   => compareLongDouble(a, b)
-    case (JDouble(a), JLong(b))   => -compareLongDouble(b, a)
-    case _                        => throw new IllegalArgumentException(s"not two numbers: $l, $r")
+  def order(l: JValue, r: JValue): Int = l match {
+    case JString(a) => r match { case JString(b) => a.compareTo(b); case _ => Incomparable }
+    case JBool(a)   => r match { case JBool(b) => java.lang.Boolean.compare(a, b); case _ => Incomparable }
+    case JLong(a) => r match {
+      case JLong(b)   => java.lang.Long.compare(a, b)
+      case JDouble(b) => compareLongDouble(a, b)
+      case _          => Incomparable
+    }
+    case JDouble(a) => r match {
+      case JDouble(b) => java.lang.Double.compare(a, b)
+      case JLong(b)   => -compareLongDouble(b, a)
+      case _          => Incomparable
+    }
+    case _ => Incomparable
   }
 
   private def compareLongDouble(a: Long, b: Double): Int = {
@@ -60,18 +70,11 @@ object Expr {
     else java.lang.Long.compare(a, b.toLong)
   }
 
-  private def isNumber(v: JValue): Boolean = v.isInstanceOf[JLong] || v.isInstanceOf[JDouble]
-
-  /** Marks a pair of values that [[compare]] cannot order. */
-  private final val Incomparable = Int.MinValue
+  /** What [[order]] gives a pair it cannot order (no real comparison yields it). */
+  final val Incomparable = Int.MinValue
 
   def compare(op: String, l: JValue, r: JValue): JValue = {
-    val c = (l, r) match {
-      case (JString(a), JString(b))           => a.compareTo(b)
-      case (JBool(a), JBool(b))               => java.lang.Boolean.compare(a, b)
-      case _ if isNumber(l) && isNumber(r)    => compareNumbers(l, r)
-      case _                                  => Incomparable
-    }
+    val c = order(l, r)
     if (c == Incomparable)
       if (op == "==" && l == r) JBool(true) else if (op == "!=" && l != r) JBool(true) else JNull
     else
@@ -82,7 +85,7 @@ object Expr {
   }
 
   /** The total order of ORDER BY and of its tie-break: null < boolean <
-    * number < string < array/object. Numbers compare as in [[compare]]; a
+    * number < string < array/object. Numbers compare as in [[order]]; a
     * long and a double of equal value put the long first. Arrays and objects
     * compare by their JSON rendering, as the last resort.
     */
@@ -106,7 +109,7 @@ object Expr {
           case 0 => 0
           case 1 => java.lang.Boolean.compare(a == JBool(true), b == JBool(true))
           case 2 =>
-            val n = compareNumbers(a, b)
+            val n = order(a, b)
             if (n != 0) n else java.lang.Boolean.compare(a.isInstanceOf[JDouble], b.isInstanceOf[JDouble])
           case _ => a.render.compareTo(b.render)
         }

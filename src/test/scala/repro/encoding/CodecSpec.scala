@@ -159,6 +159,28 @@ class CodecSpec extends AnyFunSuite {
     assert(r.nextString() == vals(42))
   }
 
+  test("delta strings property: skip and nextString interleave over shared prefixes") {
+    // Sorted strings over a small alphabet (two- and three-byte UTF-8
+    // included) share prefixes of every length, the empty one too.
+    val gen = for {
+      vals <- Gen.listOf(Gen.listOf(Gen.oneOf("a", "b", "é", "✓")).map(_.mkString))
+      steps <- Gen.listOf(Gen.choose(0, 4))
+    } yield (vals.sorted.toVector, steps)
+    forAll(gen) { case (vals, steps) =>
+      val w = new DeltaStringWriter
+      vals.foreach(w.writeString)
+      val bytes = w.finish()
+      val r = new DeltaStringReader(bytes, 0, bytes.length)
+      // Each step skips k values, then reads the next one (if any is left).
+      var i = 0
+      steps.forall { k =>
+        val skipped = math.min(k, vals.length - i)
+        r.skip(skipped); i += skipped
+        i >= vals.length || { val ok = r.nextString() == vals(i); i += 1; ok }
+      }
+    }
+  }
+
   test("bit-packed booleans round-trip across byte boundaries") {
     val vals = (0 until 37).map(i => i % 3 == 0)
     val w = new BitBoolWriter

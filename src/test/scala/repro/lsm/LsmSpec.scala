@@ -138,6 +138,15 @@ class LsmSpec extends AnyFunSuite {
       }
     }
 
+    test(s"[${layout.name}] batched lookups return the same record for a repeated key") {
+      val ds = mkDataset(layout)
+      (0L until 100L).map(gamerRecord).foreach(ds.upsert)
+      ds.flush()
+      val got = ds.batchedLookup(Array(5L, 5L, 7L, 7L, 7L, 99L, 99L), null).toSeq
+      assert(got.map(_._1) == Seq(5L, 5L, 7L, 7L, 7L, 99L, 99L))
+      got.foreach { case (k, r) => assert(r.get("name") == Some(JString(s"gamer$k")), s"key $k") }
+    }
+
     test(s"[${layout.name}] lookups past anti-matter in the same page or leaf find the right record") {
       val ds = mkDataset(layout, smallConfig.copy(maxComponents = 10))
       (0L until 300L).map(gamerRecord).foreach(ds.upsert)

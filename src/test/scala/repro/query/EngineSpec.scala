@@ -155,6 +155,37 @@ class EngineSpec extends SparkSpec {
     }
   }
 
+  test("group keys: one NaN group, -0.0 with 0.0, 1 apart from 1.0, missing with null, big longs apart") {
+    val big = 1L << 53
+    // Keys by record id; groups come out in first-seen order, keeping the
+    // first-seen key (-0.0 for the zero group).
+    val keys: Seq[Option[JValue]] = Seq(
+      Some(JDouble(Double.NaN)), Some(JDouble(-0.0)), Some(JLong(1)), Some(JString("a")), None,
+      Some(JLong(big)), Some(JDouble(Double.NaN)), Some(JDouble(0.0)), Some(JDouble(1.0)),
+      Some(JString("a")), Some(JNull), Some(JLong(big + 1)))
+    def show(v: JValue): String = v match {
+      case JDouble(d) => s"double $d"
+      case JLong(l)   => s"long $l"
+      case other      => other.render
+    }
+    val expected = Seq("double NaN" -> 2, "double -0.0" -> 2, "long 1" -> 1, "\"a\"" -> 2, "null" -> 2,
+      s"long $big" -> 1, "double 1.0" -> 1, s"long ${big + 1}" -> 1)
+    val plan = PlanSpec(Nil, group = Some(GroupSpec(Seq("k" -> Expr.path("t.k")), Seq(Agg("count", null, "cnt")))))
+    for (layout <- LayoutKind.all) {
+      val dir = java.nio.file.Files.createTempDirectory(s"eng-keys-${layout.name}").toFile
+      val ds = new LsmDataset("keys", dir, layout, LsmConfig(pageSize = 16 * 1024,
+        memBudgetBytes = 128 * 1024, amaxLeafRecords = 120), new BufferCache(64))
+      keys.zipWithIndex.foreach { case (k, i) =>
+        ds.upsert(JObject(("id" -> (JLong(i.toLong): JValue)) +: k.map("k" -> _).toVector))
+      }
+      ds.flush()
+      for (mode <- Seq(ExecMode.Interpreted, ExecMode.CodeGen)) {
+        val got = Engine.run(ds, plan, mode).rows.map(r => show(r(0)) -> r(1).asInstanceOf[JLong].v.toInt)
+        assert(got == expected, s"layout=${layout.name} mode=$mode")
+      }
+    }
+  }
+
   // 2. DuckDB oracle verification --------------------------------------
 
   test("oracle: cell Q2/Q3 grouped results match DuckDB") {
