@@ -84,23 +84,52 @@ final class ColumnChunkWriter(val meta: ColumnMeta) {
   }
 }
 
-/** Decoder over one encoded column chunk. Supports full record-shape parsing
-  * (assembly / interpreted access) and `skipRecords` which decodes def levels
-  * only and bulk-skips values — the batched iterator advance of §4.4.
+/** Decoder over one encoded column chunk. Record assembly ([[Assembler]])
+  * reads it token by token: [[peekDef]]/[[nextDef]] for the def levels and
+  * delimiters, then one typed value read per present entry. It also parses a
+  * whole record's [[Shape]] (the vertical merge's replay unit) and supports
+  * `skipRecords`, which decodes def levels only and bulk-skips values (the
+  * batched iterator advance of §4.4).
+  *
+  * A reader made by [[ColumnChunkReader.allAbsent]] stands for a column the
+  * component does not hold: every def level reads as 0 and consumes nothing.
   */
-class ColumnChunkReader(val meta: ColumnMeta, bytes: Array[Byte], start: Int, end: Int) {
+final class ColumnChunkReader private (val meta: ColumnMeta, bytes: Array[Byte], start: Int, end: Int,
+                                       absent: Boolean) {
+  def this(meta: ColumnMeta, bytes: Array[Byte], start: Int, end: Int) = this(meta, bytes, start, end, false)
+
   private val in = new BufReader(bytes, start, end)
-  private val defLen = in.readVarInt()
+  private val defLen = if (absent) 0 else in.readVarInt()
   private val defStart = in.position
-  private val defs = new DefLevelReader(bytes, defStart, defStart + defLen)
-  private val vals = ValueCodec.reader(meta.tpe, bytes, defStart + defLen, end)
+  private val defs = if (absent) null else new DefLevelReader(bytes, defStart, defStart + defLen)
+  private val vals = if (absent) null else ValueCodec.reader(meta.tpe, bytes, defStart + defLen, end)
 
   private var peeked = -1
   private var hasPeek = false
+  private var last = 0
 
-  private def peekDef(): Int = { if (!hasPeek) { peeked = defs.next(); hasPeek = true }; peeked }
-  private def nextDef(): Int = { val v = peekDef(); hasPeek = false; v }
-  private def defsExhausted: Boolean = !hasPeek && !defs.hasNext
+  /** False for a column the component does not hold. */
+  def present: Boolean = !absent
+
+  /** The next def level or delimiter, not consumed. */
+  def peekDef(): Int =
+    if (absent) 0
+    else { if (!hasPeek) { peeked = defs.next(); hasPeek = true }; peeked }
+
+  /** The next def level or delimiter, consumed. */
+  def nextDef(): Int = { val v = peekDef(); hasPeek = false; last = v; v }
+
+  /** The def level or delimiter [[nextDef]] returned last (0 before any). */
+  def lastDef: Int = last
+
+  /** No def level or delimiter is left in the chunk. */
+  def atEnd: Boolean = absent || (!hasPeek && !defs.hasNext)
+
+  /** The value of the entry whose def level was just read as `meta.maxDef`. */
+  def readLong(): Long = vals.nextLong()
+  def readDouble(): Double = vals.nextDouble()
+  def readString(): String = vals.nextString()
+  def readBool(): Boolean = vals.nextBool()
 
   private def readValue(): AnyRef = meta.tpe match {
     case AtomicType.TLong   => java.lang.Long.valueOf(vals.nextLong())
@@ -112,7 +141,8 @@ class ColumnChunkReader(val meta: ColumnMeta, bytes: Array[Byte], start: Int, en
 
   /** Parse the next record's shape (consuming its tokens and values). */
   def nextRecordShape(): Shape = {
-    if (meta.numArrays == 0) {
+    if (absent) SLeaf(0, null)
+    else if (meta.numArrays == 0) {
       val d = nextDef()
       SLeaf(d, if (d == meta.maxDef) readValue() else null)
     } else {
@@ -138,7 +168,7 @@ class ColumnChunkReader(val meta: ColumnMeta, bytes: Array[Byte], start: Int, en
     var done = false
     while (!done) {
       items += parseElement(j)
-      if (defsExhausted) done = true
+      if (atEnd) done = true
       else {
         val d = peekDef()
         // At this position a value ≤ j is a delimiter (deeper delimiters were
@@ -153,7 +183,7 @@ class ColumnChunkReader(val meta: ColumnMeta, bytes: Array[Byte], start: Int, en
   }
 
   /** Skip `n` records without materializing values (§4.4 batch advance). */
-  def skipRecords(n: Int): Unit = {
+  def skipRecords(n: Int): Unit = if (!absent) {
     var i = 0
     var present = 0
     if (meta.numArrays == 0) {
@@ -175,7 +205,7 @@ class ColumnChunkReader(val meta: ColumnMeta, bytes: Array[Byte], start: Int, en
     var done = false
     while (!done) {
       present += skipElement(j)
-      if (defsExhausted) done = true
+      if (atEnd) done = true
       else {
         val d = peekDef()
         if (d <= j) { if (d == j) nextDef(); done = true }
@@ -198,12 +228,6 @@ object ColumnChunkReader {
   /** Reader for a column absent from a component's schema: every record is
     * absent (older components, before the column was first observed).
     */
-  def allAbsent(meta: ColumnMeta): ColumnChunkReader = {
-    val w = new ColumnChunkWriter(meta)
-    val bytes = w.finish()
-    new ColumnChunkReader(meta, bytes, 0, bytes.length) {
-      override def nextRecordShape(): Shape = SLeaf(0, null)
-      override def skipRecords(n: Int): Unit = ()
-    }
-  }
+  def allAbsent(meta: ColumnMeta): ColumnChunkReader =
+    new ColumnChunkReader(meta, Array.emptyByteArray, 0, 0, absent = true)
 }

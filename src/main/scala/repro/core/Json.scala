@@ -17,13 +17,31 @@ final case class JDouble(v: Double) extends JValue
 final case class JString(v: String) extends JValue
 final case class JArray(items: Vector[JValue]) extends JValue
 final case class JObject(fields: Vector[(String, JValue)]) extends JValue {
-  def get(name: String): Option[JValue] = fields.collectFirst { case (`name`, v) => v }
+  /** The first field named `name`: of duplicate names the first wins. */
+  def get(name: String): Option[JValue] = {
+    var i = 0
+    val n = fields.length
+    while (i < n) {
+      val f = fields(i)
+      if (f._1 == name) return Some(f._2)
+      i += 1
+    }
+    None
+  }
 }
 
 object JObject { def of(fs: (String, JValue)*): JObject = JObject(fs.toVector) }
 object JArray { def of(vs: JValue*): JArray = JArray(vs.toVector) }
 
 object Json {
+  /** A vector of the first `n` slots of `a`, which the caller fills and
+    * then no longer writes: up to 32 slots become the vector's own array
+    * without a copy (the decoders know their element counts up front).
+    */
+  private[repro] def vectorOf[A](a: Array[AnyRef], n: Int): Vector[A] =
+    Vector.from(scala.collection.immutable.ArraySeq.unsafeWrapArray(
+      if (n == a.length) a else java.util.Arrays.copyOf(a, n))).asInstanceOf[Vector[A]]
+
   private[core] def write(v: JValue, sb: StringBuilder): Unit = v match {
     case JNull       => sb.append("null")
     case JBool(b)    => sb.append(b)

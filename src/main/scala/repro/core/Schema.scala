@@ -92,15 +92,7 @@ final class Schema {
     * object-alternatives (the paper's union access rule); None if the path
     * is not in the schema.
     */
-  def nodeAt(path: Seq[String]): Option[SchemaNode] = {
-    def descend(node: SchemaNode, p: List[String]): Option[SchemaNode] = (node, p) match {
-      case (n, Nil) => Some(n)
-      case (on: ObjectNode, f :: rest) => on.fields.get(f).flatMap(descend(_, rest))
-      case (un: UnionNode, p2) => un.alternatives.get(Kind.Obj).flatMap(descend(_, p2))
-      case _ => None
-    }
-    descend(root, path.toList)
-  }
+  def nodeAt(path: Seq[String]): Option[SchemaNode] = Schema.nodeBelow(root, path)
 
   /** Leaf columns under a record-rooted object path; empty if the path is
     * not in the schema.
@@ -229,6 +221,16 @@ final class Schema {
 }
 
 object Schema {
+  /** The node at an object path below `node`, descending through union
+    * object-alternatives; None if the path is not in the schema.
+    */
+  def nodeBelow(node: SchemaNode, path: Seq[String]): Option[SchemaNode] = (node, path) match {
+    case (n, p) if p.isEmpty => Some(n)
+    case (on: ObjectNode, _) => on.fields.get(path.head).flatMap(nodeBelow(_, path.tail))
+    case (un: UnionNode, _)  => un.alternatives.get(Kind.Obj).flatMap(nodeBelow(_, path))
+    case _                   => None
+  }
+
   /** Leaf column ids under a node, ascending. */
   def leavesUnder(node: SchemaNode): Array[Int] = {
     val buf = mutable.ArrayBuffer.empty[Int]

@@ -81,9 +81,13 @@ final class BufReader(val bytes: Array[Byte], start: Int = 0, end0: Int = -1) {
   def skipBytes(n: Int): Unit = { pos += n }
 
   def readVarLong(): Long = {
-    var shift = 0; var v = 0L; var b = 0
-    do { b = readByte(); v |= (b & 0x7fL) << shift; shift += 7 } while ((b & 0x80) != 0)
-    v
+    val b0 = bytes(pos)
+    if (b0 >= 0) { pos += 1; b0 } // one-byte varint: the common case
+    else {
+      var shift = 0; var v = 0L; var b = 0
+      do { b = readByte(); v |= (b & 0x7fL) << shift; shift += 7 } while ((b & 0x80) != 0)
+      v
+    }
   }
   def readVarInt(): Int = readVarLong().toInt
   def readZigZag(): Long = { val v = readVarLong(); (v >>> 1) ^ -(v & 1) }
@@ -101,8 +105,10 @@ final class BufReader(val bytes: Array[Byte], start: Int = 0, end0: Int = -1) {
     pos += 4; v
   }
 
-  def readString(): String = {
-    val n = readVarInt()
+  def readString(): String = readUtf8(readVarInt())
+
+  /** The next `n` bytes decoded as UTF-8, in place. */
+  def readUtf8(n: Int): String = {
     val s = new String(bytes, pos, n, StandardCharsets.UTF_8); pos += n; s
   }
 }

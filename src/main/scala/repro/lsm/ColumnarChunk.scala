@@ -26,69 +26,62 @@ abstract class ColumnarHandle(seq: Long, meta: ComponentMeta, file: PagedFile, m
     extends ComponentHandle(seq, meta, file, metaPath) {
   def chunk(i: Int): ColumnarChunk
 
-  def newCursor(datasetSchema: Schema, projection: Array[Int], zone: ZonePredicate): CompCursor =
-    new ColumnarCursor(this, datasetSchema, projection, zone, chunk)
+  def newCursor(columns: Array[ColumnMeta], zone: ZonePredicate): CompCursor =
+    new ColumnarCursor(this, columns, zone, chunk)
 
-  /** The columns to decode: the projected ones, or all of this component's. */
-  def columns(datasetSchema: Schema, projection: Array[Int]): Array[ColumnMeta] =
-    if (projection == null) meta.schema.columns.toArray
-    else projection.filter(_ < datasetSchema.numColumns).map(datasetSchema.column)
-
-  def pointLookup(key: Long, datasetSchema: Schema, projection: Array[Int]): Option[Option[JObject]] = {
+  def pointLookup(key: Long, asm: Assembler): Option[Option[JObject]] = {
     val i = chunkOf(key)
     if (i < 0) None
     else {
       // The chunk's keys were decoded linearly (the columnar point-lookup
       // cost, §4.6); they are sorted, so finish with a binary search.
       val c = chunk(i)
-      find(c, key, new ChunkRecords(c, columns(datasetSchema, projection), datasetSchema))
+      find(c, key, new ChunkRecords(c, asm.columns), asm)
     }
   }
 
   /** Each chunk is read once and its projected column readers sweep
     * forward with batch skips.
     */
-  def forwardLookup(datasetSchema: Schema, projection: Array[Int]): ForwardLookup = {
-    val cols = columns(datasetSchema, projection)
+  def forwardLookup(asm: Assembler): ForwardLookup =
     new ForwardLookup(this, { i =>
       val c = chunk(i)
-      val records = new ChunkRecords(c, cols, datasetSchema)
-      key => find(c, key, records)
+      val records = new ChunkRecords(c, asm.columns)
+      key => find(c, key, records, asm)
     })
-  }
 
-  private def find(c: ColumnarChunk, key: Long, records: => ChunkRecords): Option[Option[JObject]] = {
+  private def find(c: ColumnarChunk, key: Long, records: => ChunkRecords, asm: Assembler): Option[Option[JObject]] = {
     val slot = java.util.Arrays.binarySearch(c.keys, key)
     if (slot < 0) None
     else if (c.anti(slot)) Some(None)
-    else Some(Some(records.recordAt(slot)))
+    else Some(Some(records.recordAt(slot, asm)))
   }
 }
 
 /** Column readers over one chunk's live records, which only move forward:
-  * reading the `live`-th live record skips the ones before it in one batch.
-  * The last record assembled is kept, so a repeated key reads it again.
+  * positioning them at the `live`-th live record skips the ones before it
+  * in one batch. The last record assembled is kept, so a repeated key reads
+  * it again.
   */
-private final class ChunkRecords(c: ColumnarChunk, cols: Array[ColumnMeta], datasetSchema: Schema) {
-  private val readers = cols.map(c.reader)
+private final class ChunkRecords(c: ColumnarChunk, columns: Array[ColumnMeta]) {
+  private val readers = columns.map(c.reader)
   private var pos = 0 // live records the readers have passed
   private var lastSlot = -1
   private var lastRecord: JObject = _
 
-  /** Global-columnId-indexed shapes of the `live`-th live record. */
-  def shapes(live: Int): Array[Shape] = {
+  /** The readers, positioned at the `live`-th live record. The caller reads
+    * that record from each of them, once.
+    */
+  def at(live: Int): Array[ColumnChunkReader] = {
     if (live > pos) readers.foreach(_.skipRecords(live - pos))
     pos = live + 1
-    val out = new Array[Shape](datasetSchema.numColumns)
-    var i = 0
-    while (i < readers.length) { out(cols(i).columnId) = readers(i).nextRecordShape(); i += 1 }
-    out
+    readers
   }
 
-  def recordAt(slot: Int): JObject = {
+  /** The record at `slot`, assembled by `asm` (over these columns). */
+  def recordAt(slot: Int, asm: Assembler): JObject = {
     if (slot != lastSlot) {
-      val sh = shapes(PkChunk.rank(c.anti, slot))
-      lastRecord = Assembler.assembleRecord(datasetSchema, id => sh(id))
+      lastRecord = asm.record(at(PkChunk.rank(c.anti, slot)))
       lastSlot = slot
     }
     lastRecord
@@ -97,14 +90,13 @@ private final class ChunkRecords(c: ColumnarChunk, cols: Array[ColumnMeta], data
 
 /** Reconciliation cursor over a columnar component's chunks, read through
   * `chunkAt` (the vertical merge reads them through its own small cache).
-  * `advance()` decodes primary keys only; value columns are read only by
-  * `shapes()`, which skips the entries never materialized in one batch.
-  * With a zone predicate, entries of chunks it rules out still flow
+  * `advance()` decodes primary keys only; value columns are touched only by
+  * `readers()`, which skips the entries never read in one batch. With a
+  * zone predicate, entries of chunks it rules out still flow
   * (reconciliation needs their keys) but are flagged `leafPruned`.
   */
-final class ColumnarCursor(h: ColumnarHandle, datasetSchema: Schema, projection: Array[Int],
-                           zone: ZonePredicate, chunkAt: Int => ColumnarChunk) extends CompCursor {
-  private val projCols = h.columns(datasetSchema, projection)
+final class ColumnarCursor(h: ColumnarHandle, columns: Array[ColumnMeta], zone: ZonePredicate,
+                           chunkAt: Int => ColumnarChunk) extends CompCursor {
   private val numChunks = h.chunks.length
   private var chunkIdx = -1
   private var c: ColumnarChunk = _
@@ -134,10 +126,10 @@ final class ColumnarCursor(h: ColumnarHandle, datasetSchema: Schema, projection:
 
   override def leafPruned: Boolean = pruned
 
-  override def shapes(): Array[Shape] = {
+  override def readers(): Array[ColumnChunkReader] = {
     require(!isAntimatter, "anti-matter entries have no columns")
-    if (records == null) records = new ChunkRecords(c, projCols, datasetSchema)
-    records.shapes(live)
+    if (records == null) records = new ChunkRecords(c, columns)
+    records.at(live)
   }
 }
 

@@ -150,8 +150,8 @@ object PageInfo {
   *
   * Reconciliation contract (§4.4): `advance()` positions the next entry and
   * exposes only `key`/`isAntimatter` (PK decode only). Value columns advance
-  * lazily — entries never materialized just add to a pending skip, applied
-  * in batch when `shapes()` is finally called.
+  * lazily — entries never read just add to a pending skip, applied in batch
+  * when `readers()` is finally called.
   */
 trait CompCursor {
   def advance(): Boolean
@@ -161,11 +161,12 @@ trait CompCursor {
     * predicate: none of its values can satisfy it (§4.4).
     */
   def leafPruned: Boolean = false
-  /** Global-columnId-indexed shapes for the projected columns: columnar
-    * sources only, at most one call per positioned entry. Null for row-major
-    * sources (Open/VB/memory), which expose `record()` instead.
+  /** The projected column readers, positioned at the entry: columnar
+    * sources only, at most one call per positioned entry, and the caller
+    * reads the entry from each reader once. Null for row-major sources
+    * (Open/VB/memory), which expose `record()` instead.
     */
-  def shapes(): Array[Shape] = null
+  def readers(): Array[ColumnChunkReader] = null
   /** The decoded record (row-major sources only). */
   def record(): JObject = null
 }
@@ -177,17 +178,19 @@ abstract class ComponentHandle(val seq: Long, val meta: ComponentMeta, val file:
                                val metaPath: java.io.File) {
   /** The chunk directory, in key order. */
   def chunks: Array[PageInfo]
-  /** `projection`: global column ids to materialize (columnar layouts); null
-    * = all. `zone` flags entries of AMAX leaves it rules out (may be null).
+  /** `columns`: the dataset columns whose readers a columnar cursor
+    * positions, in reader order. `zone` flags entries of AMAX leaves it
+    * rules out (may be null).
     */
-  def newCursor(datasetSchema: Schema, projection: Array[Int], zone: ZonePredicate): CompCursor
-  /** Point lookup (§4.6): Some(None) = anti-matter for this key. `projection`
-    * limits the columns decoded/assembled (secondary-index maintenance only
-    * needs the indexed fields' old values).
+  def newCursor(columns: Array[ColumnMeta], zone: ZonePredicate): CompCursor
+  /** Point lookup (§4.6): Some(None) = anti-matter for this key. A columnar
+    * component decodes only `asm.columns` and assembles the record with
+    * `asm` (secondary-index maintenance only needs the indexed fields' old
+    * values).
     */
-  def pointLookup(key: Long, datasetSchema: Schema, projection: Array[Int]): Option[Option[JObject]]
+  def pointLookup(key: Long, asm: Assembler): Option[Option[JObject]]
   /** Lookups of ascending keys that reuse each chunk they open. */
-  def forwardLookup(datasetSchema: Schema, projection: Array[Int]): ForwardLookup
+  def forwardLookup(asm: Assembler): ForwardLookup
   def sizeOnDisk: Long = file.sizeOnDisk
   def delete(): Unit = { file.delete(); metaPath.delete(): Unit }
 

@@ -4,12 +4,25 @@ import repro.core._
 import repro.lsm.layout._
 import scala.collection.mutable
 
-/** One scan result after LSM reconciliation. */
+/** One scan result after LSM reconciliation. A tuple from a columnar
+  * component is read from its projected column readers, exactly once: by
+  * [[readers]], [[record]] or [[shapes]], and a second of these raises an
+  * error ([[record]] and [[shapes]] keep their result for repeated calls).
+  * A row-major tuple (Open/VB, or the memory component) has no readers and
+  * is read through [[record]].
+  */
 trait ScanTuple {
   def key: Long
   /** Assembled/decoded record (projected columns only for columnar layouts). */
   def record(): JObject
-  /** Per-global-columnId shapes (columnar layouts; null for row/memory tuples). */
+  /** The scan's projected column readers positioned at this record, in the
+    * order of `assembler(projection).columns`; the caller reads the record
+    * from each reader once. Null for row-major tuples.
+    */
+  def readers(): Array[ColumnChunkReader]
+  /** Per-global-columnId shapes of the projected columns (columnar layouts;
+    * null for row/memory tuples).
+    */
   def shapes(): Array[Shape]
   /** True when the tuple comes from a zone-map-pruned AMAX leaf: its values
     * cannot satisfy the scan's predicate, so the engine may skip it without
@@ -96,6 +109,18 @@ final class LsmDataset(
     }
   }
 
+  private val assemblers = mutable.HashMap.empty[Option[Seq[Int]], Assembler]
+  private var assemblersOf: Schema = _
+
+  /** The record assembler over `projection` (global column ids, null = all
+    * columns), compiled once per schema state: a flush, which may change
+    * the schema, drops them all.
+    */
+  def assembler(projection: Array[Int]): Assembler = assemblers.synchronized {
+    if (assemblersOf ne schema) { assemblers.clear(); assemblersOf = schema }
+    assemblers.getOrElseUpdate(Option(projection).map(_.toSeq), new Assembler(schema, projection))
+  }
+
   private def put(key: Long, e: MemEntry): Unit = {
     val prev = mem.put(key, e)
     memBytes += e.bytes.length + 32 - (if (prev != null) prev.bytes.length + 32 else 0)
@@ -148,6 +173,7 @@ final class LsmDataset(
       }
     components = handle :: components
     mem.clear(); memBytes = 0
+    assemblers.synchronized(assemblers.clear()) // the flush may have reshaped the schema
     numFlushes += 1
     pkIndex.flush()
     secondaries.foreach(_.flush())
@@ -197,7 +223,7 @@ final class LsmDataset(
   private def mergeRows(group: List[ComponentHandle], dropAnti: Boolean,
                         dataPath: java.io.File, metaPath: java.io.File): ComponentHandle = {
     val w = new RowLayout.Writer(layout, schema, dict, config)
-    val r = new Reconciler(group.map(_.newCursor(schema, null, null)).toArray, group.map(_.seq).toArray)
+    val r = new Reconciler(group.map(_.newCursor(Array.empty, null)).toArray, group.map(_.seq).toArray)
     while (r.next()) {
       r.advanceShadowed()
       if (!r.cursor.isAntimatter) w.add(r.key, antimatter = false, serializeRow(r.cursor.record()))
@@ -222,7 +248,8 @@ final class LsmDataset(
       def isAntimatter: Boolean = cur.getValue.anti
       override def record(): JObject = decodeMem(cur.getValue)
     }
-    val r = new Reconciler((components.map(_.newCursor(schema, projection, zone)) :+ memCursor).toArray,
+    val asm = assembler(projection)
+    val r = new Reconciler((components.map(_.newCursor(asm.columns, zone)) :+ memCursor).toArray,
       (components.map(_.seq) :+ Long.MaxValue).toArray)
 
     // A returned tuple reads the live winning cursor, so it stays valid
@@ -245,20 +272,31 @@ final class LsmDataset(
         new ScanTuple {
           val key: Long = k
           val pruned: Boolean = winner.leafPruned
-          // shapes()/record() may be consumed at most once per entry on
-          // columnar cursors; cache so callers can mix them freely.
+          private var taken = false
+          private var rs: Array[ColumnChunkReader] = _
           private var cachedShapes: Array[Shape] = _
           private var cachedRecord: JObject = _
+          def readers(): Array[ColumnChunkReader] = {
+            if (!taken) { rs = winner.readers(); taken = true }
+            else if (rs != null) throw new IllegalStateException("a columnar tuple's readers are read once")
+            rs
+          }
           def shapes(): Array[Shape] = {
-            if (cachedShapes == null) cachedShapes = winner.shapes()
+            if (cachedShapes == null) {
+              val got = readers()
+              if (got == null) return null
+              cachedShapes = new Array[Shape](schema.numColumns)
+              var i = 0
+              while (i < got.length) { cachedShapes(asm.columns(i).columnId) = got(i).nextRecordShape(); i += 1 }
+            }
             cachedShapes
           }
           def record(): JObject = {
             if (cachedRecord == null) {
-              val sh = shapes()
+              val got = readers()
               cachedRecord =
-                if (sh == null) winner.record()
-                else JObject((pkField -> JLong(k)) +: Assembler.assembleRecord(schema, id => sh(id)).fields)
+                if (got == null) winner.record()
+                else JObject((pkField -> JLong(k)) +: asm.record(got).fields)
             }
             cachedRecord
           }
@@ -268,7 +306,7 @@ final class LsmDataset(
   }
 
   def pointLookup(key: Long, projection: Array[Int] = null): Option[JObject] =
-    lookup(key, components.iterator.map(_.pointLookup(key, schema, projection)))
+    lookup(key, components.iterator.map(_.pointLookup(key, assembler(projection))))
 
   /** Batched sorted-PK point lookups (§4.6, Luo et al.'s stateful-cursor
     * approach): keys arrive sorted ascending, so each component keeps a
@@ -277,7 +315,8 @@ final class LsmDataset(
     * the projected columns' pages (Fig. 16c–e's behaviour).
     */
   def batchedLookup(sortedKeys: Array[Long], projection: Array[Int]): Iterator[(Long, JObject)] = {
-    val fwd = components.map(_.forwardLookup(schema, projection))
+    val asm = assembler(projection)
+    val fwd = components.map(_.forwardLookup(asm))
     sortedKeys.iterator.flatMap(key => lookup(key, fwd.iterator.map(_.lookup(key))).map(key -> _))
   }
 

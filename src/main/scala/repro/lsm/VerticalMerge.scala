@@ -106,7 +106,7 @@ object VerticalMerge {
     // Keys only, through each source's LRU: pass B then finds small
     // components' chunks still cached.
     val cursors: Array[CompCursor] =
-      sources.map(s => new ColumnarCursor(s.h, ds.schema, Array.emptyIntArray, null, s.chunk))
+      sources.map(s => new ColumnarCursor(s.h, Array.empty, null, s.chunk))
     val keyMerge = new Reconciler(cursors, group.map(_.seq).toArray)
     while (keyMerge.next()) {
       val wi = keyMerge.winner

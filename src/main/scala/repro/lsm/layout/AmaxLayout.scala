@@ -18,7 +18,7 @@ object AmaxLayout {
     case JLong(l)   => l
     case JDouble(d) => java.lang.Double.doubleToLongBits(d)
     case JString(s) =>
-      val bs = s.getBytes("UTF-8")
+      val bs = s.getBytes(java.nio.charset.StandardCharsets.UTF_8)
       var acc = 0L
       var i = 0
       while (i < 8) { acc = (acc << 8) | (if (i < bs.length) bs(i) & 0xffL else 0L); i += 1 }

@@ -1,6 +1,7 @@
 package repro.lsm.layout
 
 import repro.core._
+import java.nio.charset.StandardCharsets
 import repro.encoding.{BufReader, BufWriter}
 import scala.collection.mutable
 
@@ -47,7 +48,7 @@ object OpenCodec {
     case JLong(l)   => out.writeByte(2); out.writeLongLE(l)
     case JDouble(d) => out.writeByte(3); out.writeDoubleLE(d)
     case JString(s) =>
-      val bs = s.getBytes("UTF-8")
+      val bs = s.getBytes(StandardCharsets.UTF_8)
       out.writeByte(4); out.writeIntLE(bs.length); out.writeBytes(bs)
     case JObject(fs) =>
       // Children are built in their own buffers, then copied into the parent
@@ -56,7 +57,7 @@ object OpenCodec {
       out.writeByte(5); out.writeIntLE(fs.length)
       var rel = 0
       fs.indices.foreach { i =>
-        val nb = fs(i)._1.getBytes("UTF-8")
+        val nb = fs(i)._1.getBytes(StandardCharsets.UTF_8)
         out.writeIntLE(nb.length); out.writeBytes(nb)
         out.writeIntLE(rel)
         rel += children(i).length
@@ -77,19 +78,27 @@ object OpenCodec {
     case 1 => JBool(in.readByte() == 1)
     case 2 => JLong(in.readLongLE())
     case 3 => JDouble(in.readDoubleLE())
-    case 4 => val n = in.readIntLE(); JString(new String(in.readBytes(n), "UTF-8"))
+    case 4 => JString(in.readUtf8(in.readIntLE()))
     case 5 =>
       val n = in.readIntLE()
       val names = new Array[String](n)
-      (0 until n).foreach { i =>
-        val ln = in.readIntLE(); names(i) = new String(in.readBytes(ln), "UTF-8")
-        in.readIntLE(): Unit // relative pointer (sequential read ignores it)
+      var i = 0
+      while (i < n) {
+        names(i) = in.readUtf8(in.readIntLE())
+        in.skipBytes(4) // relative pointer (sequential read ignores it)
+        i += 1
       }
-      JObject((0 until n).map(i => names(i) -> readFrom(in)).toVector)
+      val fields = new Array[AnyRef](n)
+      i = 0
+      while (i < n) { fields(i) = (names(i), readFrom(in)); i += 1 }
+      JObject(Json.vectorOf(fields, n))
     case 6 =>
       val n = in.readIntLE()
-      (0 until n).foreach(_ => in.readIntLE(): Unit)
-      JArray((0 until n).map(_ => readFrom(in)).toVector)
+      in.skipBytes(4 * n) // relative pointers
+      val items = new Array[AnyRef](n)
+      var i = 0
+      while (i < n) { items(i) = readFrom(in); i += 1 }
+      JArray(Json.vectorOf(items, n))
   }
 }
 
@@ -129,11 +138,19 @@ object VbCodec {
     case 4 => JString(in.readString())
     case 5 =>
       val n = in.readVarInt()
-      JObject((0 until n).map { _ =>
-        val id = in.readVarInt(); dict.name(id) -> readFrom(in, dict)
-      }.toVector)
+      val fields = new Array[AnyRef](n)
+      var i = 0
+      while (i < n) {
+        val name = dict.name(in.readVarInt())
+        fields(i) = (name, readFrom(in, dict))
+        i += 1
+      }
+      JObject(Json.vectorOf(fields, n))
     case 6 =>
       val n = in.readVarInt()
-      JArray((0 until n).map(_ => readFrom(in, dict)).toVector)
+      val items = new Array[AnyRef](n)
+      var i = 0
+      while (i < n) { items(i) = readFrom(in, dict); i += 1 }
+      JArray(Json.vectorOf(items, n))
   }
 }

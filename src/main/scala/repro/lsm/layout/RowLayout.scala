@@ -56,7 +56,7 @@ object RowLayout {
       extends ComponentHandle(seq, meta, file, metaPath) {
     lazy val chunks: Array[PageInfo] = PageInfo.parse(meta.directory)
 
-    def newCursor(datasetSchema: Schema, projection: Array[Int], zone: ZonePredicate): CompCursor = new Cursor
+    def newCursor(columns: Array[ColumnMeta], zone: ZonePredicate): CompCursor = new Cursor
 
     private def decodeBody(page: Array[Byte], off: Int): JObject = {
       val v = if (meta.layout == LayoutKind.Open) OpenCodec.read(page, off)
@@ -118,12 +118,12 @@ object RowLayout {
       None
     }
 
-    def pointLookup(key: Long, datasetSchema: Schema, projection: Array[Int]): Option[Option[JObject]] = {
+    def pointLookup(key: Long, asm: Assembler): Option[Option[JObject]] = {
       val i = chunkOf(key)
       if (i < 0) None else search(file.readPage(i), key)
     }
 
-    def forwardLookup(datasetSchema: Schema, projection: Array[Int]): ForwardLookup =
+    def forwardLookup(asm: Assembler): ForwardLookup =
       new ForwardLookup(this, { i => val page = file.readPage(i); key => search(page, key) })
   }
 }

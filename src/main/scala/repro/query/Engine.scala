@@ -51,18 +51,73 @@ object Engine {
       case FilterOp(p)    => Seq(p)
       case UnnestOp(a, _) => Seq(a)
       case AssignOp(_, e) => Seq(e)
-    } ++ plan.group.toSeq.flatMap(g => g.keys.map(_._2) ++ g.aggs.map(_.expr).filter(_ != null)) ++
+    } ++ outputExprs(plan)
+
+  /** The GROUP BY keys and aggregate arguments, and the SELECT list. */
+  private def outputExprs(plan: PlanSpec): Seq[Expr] =
+    plan.group.toSeq.flatMap(g => g.keys.map(_._2) ++ g.aggs.map(_.expr).filter(_ != null)) ++
       plan.select.map(_._2)
 
-  /** Projection: global column ids needed by the plan; null = whole record. */
+  /** Projection: global column ids needed by the plan, ascending; null =
+    * whole record. A record-rooted path contributes the leaves under it,
+    * except an array path that an [[UnnestOp]] or a SOME … IN … SATISFIES
+    * iterates and the plan uses nowhere else: its variable's uses decide.
+    * If the variable is used only through sub-paths (`r.temp`), the path
+    * contributes the leaves under those sub-paths of its elements; if it is
+    * not used at all, none. Either way it also contributes the array's
+    * first leaf (lowest column id) to count the elements by: a component
+    * that holds any leaf of the array holds that one, as column ids only
+    * grow. A variable used whole takes every leaf under the array.
+    */
   def neededColumns(ds: LsmDataset, plan: PlanSpec): Array[Int] = {
-    val paths = allExprs(plan).flatMap(Expr.rootPaths(_, RootVar)).toSet
-    if (paths.contains(Nil)) return null
+    val direct = mutable.Set.empty[List[String]]
+    val iterated = mutable.ArrayBuffer.empty[(List[String], String)]
+    def uses(e: Expr): Unit = e match {
+      case ExistsIn(a, v, p) if v != RootVar && rootPath(a).nonEmpty =>
+        iterated += ((rootPath(a).get, v)); uses(p)
+      case ExistsIn(a, _, p) => uses(a); uses(p)
+      case Cmp(_, l, r)      => uses(l); uses(r)
+      case And(l, r)         => uses(l); uses(r)
+      case Or(l, r)          => uses(l); uses(r)
+      case Func(_, as)       => as.foreach(uses)
+      case other             => direct ++= Expr.rootPaths(other, RootVar)
+    }
+    plan.pipeline.foreach {
+      case UnnestOp(a, as) if as != RootVar && rootPath(a).nonEmpty => iterated += ((rootPath(a).get, as))
+      case UnnestOp(a, _) => uses(a)
+      case FilterOp(p)    => uses(p)
+      case AssignOp(_, e) => uses(e)
+    }
+    outputExprs(plan).foreach(uses)
+    if (direct.contains(Nil)) return null
+
+    val schema = ds.schema
     val ids = mutable.SortedSet.empty[Int]
-    paths.foreach { p =>
-      if (p != List(ds.pkField)) ids ++= ds.schema.leavesUnderPath(p)
+    direct.foreach { p => if (p != List(ds.pkField)) ids ++= schema.leavesUnderPath(p) }
+    iterated.foreach { case (p, v) =>
+      val all = schema.leavesUnderPath(p)
+      val subs = allExprs(plan).flatMap(Expr.rootPaths(_, v)).toSet
+      if (direct.contains(p) || subs.contains(Nil)) ids ++= all
+      else {
+        val elem = schema.nodeAt(p) match {
+          case Some(an: ArrayNode) => Option(an.item)
+          case Some(un: UnionNode) => un.alternatives.get(Kind.Arr).collect { case an: ArrayNode => an.item }
+          case _                   => None
+        }
+        elem.foreach { item =>
+          ids += Schema.leavesUnder(item).min
+          subs.foreach(s => Schema.nodeBelow(item, s).foreach(n => ids ++= Schema.leavesUnder(n)))
+        }
+      }
     }
     ids.toArray
+  }
+
+  /** The record-rooted path `e` spells (`t` is Nil), if it is one. */
+  private def rootPath(e: Expr): Option[List[String]] = e match {
+    case Var(RootVar) => Some(Nil)
+    case Path(b, f)   => rootPath(b).map(_ :+ f)
+    case _            => None
   }
 
   /** Zone-map predicate for AMAX leaf skipping (§4.4): conjuncts of the form
@@ -112,7 +167,8 @@ object Engine {
   // -------------------------------------------------------------- running
 
   def run(ds: LsmDataset, plan: PlanSpec, mode: ExecMode): QueryResult = {
-    val scanIter = ds.scan(neededColumns(ds, plan), zonePredicate(ds, plan))
+    val projection = neededColumns(ds, plan)
+    val scanIter = ds.scan(projection, zonePredicate(ds, plan))
     if (isPureCount(plan)) {
       var n = 0L
       while (scanIter.hasNext) { scanIter.next(); n += 1 }
@@ -120,7 +176,7 @@ object Engine {
       finish(plan, g.aggs.map(_.as), Iterator.single(Array.fill[JValue](g.aggs.length)(JLong(n))))
     } else mode match {
       case ExecMode.Interpreted => runInterpreted(plan, scanIter)
-      case ExecMode.CodeGen     => runCodeGen(ds, plan, scanIter)
+      case ExecMode.CodeGen     => runCodeGen(ds, plan, projection, scanIter)
     }
   }
 
@@ -248,6 +304,19 @@ object Engine {
     result(plan, table, outRows)
   }
 
+  /** The value at `path` below `v`: NULL where an object lacks the field or
+    * a non-object is in the way.
+    */
+  private def walk(v: JValue, path: Array[String]): JValue = {
+    var cur = v
+    var i = 0
+    while (i < path.length) {
+      cur = cur match { case o: JObject => o.get(path(i)).getOrElse(JNull); case _ => JNull }
+      i += 1
+    }
+    cur
+  }
+
   private def existsVars(e: Expr): List[String] = e match {
     case ExistsIn(a, v, p) => v :: existsVars(a) ::: existsVars(p)
     case Cmp(_, l, r)      => existsVars(l) ::: existsVars(r)
@@ -260,49 +329,49 @@ object Engine {
 
   // ------------------------------------------------------ compiled engine
 
-  private def runCodeGen(ds: LsmDataset, plan: PlanSpec, scanIter: Iterator[ScanTuple]): QueryResult = {
-    // Distinct record-rooted paths become pre-resolved accessor slots: on
-    // columnar layouts each accessor assembles only its own subtree from the
-    // column shapes (no full-record assembly — §5's key saving).
+  private def runCodeGen(ds: LsmDataset, plan: PlanSpec, projection: Array[Int],
+                         scanIter: Iterator[ScanTuple]): QueryResult = {
+    // Distinct record-rooted paths become pre-resolved accessor slots. A path
+    // with no proper prefix among them is a read root: on columnar tuples it
+    // is assembled straight from the column readers, its projected leaves
+    // only (§5: no record assembly). A longer path walks its root's value, so
+    // each leaf is read once per tuple. Row-major tuples walk the record.
     val paths = allExprs(plan).flatMap(Expr.rootPaths(_, RootVar)).toSet.toVector
-    val columnar = ds.layout.isColumnar
     val pathSlots = paths.indices.map(i => s"$$p$i").toVector
     val pathIndex: Map[List[String], Int] = paths.zipWithIndex.toMap
+    val roots = paths.filter(p => !paths.exists(q => q.length < p.length && p.startsWith(q))).toArray
+    val rootOf = paths.map(p => roots.indexWhere(r => p.startsWith(r))).toArray
+    val rest = paths.indices.map(i => paths(i).drop(roots(rootOf(i)).length).toArray).toArray
+    val pk = List(ds.pkField)
+    val asm = if (ds.layout.isColumnar) ds.assembler(projection) else null
+    val columnReads: Array[Assembler.Node] = roots.map { r =>
+      if (asm == null || r.isEmpty || r == pk) null else ds.schema.nodeAt(r).map(asm.at).orNull
+    }
+    val readsColumns = asm != null && !roots.contains(Nil)
+    val isPk = roots.map(_ == pk)
+    val rootSegs = roots.map(_.toArray)
+    val rootVals = new Array[JValue](roots.length)
 
-    val accessors: Vector[(ScanTuple) => JValue] = paths.map { p =>
-      if (p == List(ds.pkField)) (t: ScanTuple) => JLong(t.key)
-      else if (p.isEmpty) (t: ScanTuple) => t.record()
-      else if (columnar) {
-        ds.schema.nodeAt(p) match {
-          case Some(node) =>
-            (t: ScanTuple) => {
-              val sh = t.shapes()
-              if (sh == null) { // in-memory component tuple: still row-major (§4.4)
-                var cur: JValue = t.record()
-                p.foreach { f =>
-                  cur = cur match { case o: JObject => o.get(f).getOrElse(JNull); case _ => JNull }
-                }
-                cur
-              } else Assembler.assembleNode(node, id => sh(id)).getOrElse(JNull)
-            }
-          case None => (_: ScanTuple) => JNull
-        }
-      } else {
-        val segs = p
-        (t: ScanTuple) => {
-          var cur: JValue = t.record()
-          segs.foreach { f =>
-            cur = cur match { case o: JObject => o.get(f).getOrElse(JNull); case _ => JNull }
+    def readRoots(t: ScanTuple): Unit = {
+      val rs = if (readsColumns) t.readers() else null
+      var j = 0
+      while (j < roots.length) {
+        rootVals(j) =
+          if (isPk(j)) JLong(t.key)
+          else if (rs == null) walk(t.record(), rootSegs(j))
+          else {
+            val n = columnReads(j)
+            val v = if (n == null) null else n.read(rs)
+            if (v == null) JNull else v
           }
-          cur
-        }
+        j += 1
       }
     }
 
     // Rewrite exprs: maximal record-rooted paths → accessor-slot variables.
     def rewrite(e: Expr): Expr = e match {
       case p @ (Path(_, _) | Var(RootVar)) =>
-        pathOf(p) match {
+        rootPath(p) match {
           case Some(path) if pathIndex.contains(path) => Var(pathSlots(pathIndex(path)))
           case _ => p match {
             case Path(b, f) => Path(rewrite(b), f)
@@ -315,11 +384,6 @@ object Engine {
       case Func(n, as)     => Func(n, as.map(rewrite))
       case ExistsIn(a, v, pr) => ExistsIn(rewrite(a), v, rewrite(pr))
       case other           => other
-    }
-    def pathOf(e: Expr): Option[List[String]] = e match {
-      case Var(RootVar) => Some(Nil)
-      case Path(b, f)   => pathOf(b).map(_ :+ f)
-      case _            => None
     }
 
     val extraVars = plan.pipeline.collect {
@@ -384,9 +448,10 @@ object Engine {
     while (scanIter.hasNext) {
       val t = scanIter.next()
       if (!t.pruned) {
+        readRoots(t)
         var i = 0
-        while (i < accessors.length) { slots(i) = accessors(i)(t); i += 1 }
-        java.util.Arrays.fill(slots.asInstanceOf[Array[AnyRef]], accessors.length, slots.length, JNull)
+        while (i < paths.length) { slots(i) = walk(rootVals(rootOf(i)), rest(i)); i += 1 }
+        java.util.Arrays.fill(slots.asInstanceOf[Array[AnyRef]], paths.length, slots.length, JNull)
         fused(env)
       }
     }

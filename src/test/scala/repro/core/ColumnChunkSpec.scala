@@ -102,10 +102,7 @@ class ColumnChunkSpec extends AnyFunSuite {
     val schema2 = Schema.deserialize(schema.serialize())
     val readers = schema2.columns.map(m =>
       new ColumnChunkReader(m, chunks(m.columnId), 0, chunks(m.columnId).length)).toArray
-    recs.foreach { in =>
-      val shapes = readers.map(_.nextRecordShape())
-      val got = Assembler.assembleRecord(schema2, id => shapes(id))
-      assert(normalize(got) == normalize(in))
-    }
+    val asm = new Assembler(schema2, null)
+    recs.foreach(in => assert(normalize(asm.record(readers)) == normalize(in)))
   }
 }

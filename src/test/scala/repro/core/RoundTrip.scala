@@ -24,10 +24,8 @@ object RoundTrip {
     val readers = schema.columns.zipWithIndex.map { case (m, i) =>
       new ColumnChunkReader(m, chunks(i), 0, chunks(i).length)
     }.toArray
-    records.map { _ =>
-      val shapes = readers.map(_.nextRecordShape())
-      Assembler.assembleRecord(schema, id => shapes(id))
-    }
+    val asm = new Assembler(schema, null)
+    records.map(_ => asm.record(readers))
   }
 
   /** Order-insensitive comparison form: object fields sorted by name, JSON

@@ -2,7 +2,7 @@ package repro.query
 
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types._
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, Tagged}
 import repro.core._
 import repro.datasets.Datasets
 import repro.lsm._
@@ -29,8 +29,8 @@ class EngineSpec extends SparkSpec {
       ds
     })
 
-  private def canonical(r: QueryResult): Set[String] =
-    r.rows.map(_.map(_.render).mkString("|")).toSet
+  /** Rows as a set, rendered with their kinds (NaN is not NULL, -0.0 is not 0.0). */
+  private def canonical(r: QueryResult): Set[String] = r.rows.map(Tagged.row).toSet
 
   private def resultToDF(r: QueryResult): DataFrame = {
     def sparkVal(v: JValue): Any = v match {
@@ -110,7 +110,7 @@ class EngineSpec extends SparkSpec {
     ("wos", "Q3", Queries.wosQ3, Queries.wosQ3Grouped),
     ("wos", "Q4", Queries.wosQ4, Queries.wosQ4Grouped))
 
-  private def rendered(r: QueryResult): Seq[String] = r.rows.map(_.map(_.render).mkString("|"))
+  private def rendered(r: QueryResult): Seq[String] = r.rows.map(Tagged.row)
 
   for ((dsName, q, plan, grouped) <- topKPlans) {
     test(s"$dsName/$q top-k: the head of the sorted groups, in the same order on every layout and mode") {
@@ -122,8 +122,7 @@ class EngineSpec extends SparkSpec {
       val byOrderColumn = Ordering.by((r: Array[JValue]) => r(i))(
         if (desc) Expr.ValueOrder.reverse else Expr.ValueOrder)
       val byColumns = Ordering.by((r: Array[JValue]) => r.toSeq)(Ordering.Implicits.seqOrdering(Expr.ValueOrder))
-      val expected = all.rows.sorted(byOrderColumn.orElse(byColumns)).take(plan.limit.get)
-        .map(_.map(_.render).mkString("|"))
+      val expected = all.rows.sorted(byOrderColumn.orElse(byColumns)).take(plan.limit.get).map(Tagged.row)
       assert(expected.nonEmpty)
       for (layout <- LayoutKind.all; mode <- Seq(ExecMode.Interpreted, ExecMode.CodeGen))
         assert(rendered(Engine.run(dataset(dsName, layout), plan, mode)) == expected,
@@ -183,6 +182,68 @@ class EngineSpec extends SparkSpec {
         val got = Engine.run(ds, plan, mode).rows.map(r => show(r(0)) -> r(1).asInstanceOf[JLong].v.toInt)
         assert(got == expected, s"layout=${layout.name} mode=$mode")
       }
+    }
+  }
+
+  test("narrowed unnest and SOME: CodeGen on APAX/AMAX equals Interpreted on Open") {
+    // Elements that lack `a`, null elements, scalar elements, empty, null and
+    // missing arrays, nested arrays; `a` first appears in the second flushed
+    // component, and the memory component overwrites some older records.
+    val r = new scala.util.Random(11)
+    def element(i: Int, k: Int): JValue = r.nextInt(8) match {
+      case 0 => JNull
+      case 1 => JLong(5)
+      case 2 => JObject.of("n" -> JArray.of(JArray.of(JLong(k), JLong(1)), JArray.of(), JNull))
+      case 3 => JObject.of("b" -> JString(s"s${k % 3}"), "n" -> JArray.of())
+      case _ if i < 40 => JObject.of("b" -> JString(s"s${k % 3}"))
+      case 4 => JObject.of("a" -> JDouble(if (k % 2 == 0) -0.0 else Double.NaN), "b" -> JString("d"))
+      case _ => JObject.of("b" -> JString(s"s${k % 3}"), "a" -> JLong(k.toLong))
+    }
+    def record(id: Int, i: Int): JObject = {
+      val xs: Seq[(String, JValue)] = r.nextInt(6) match {
+        case 0 => Nil
+        case 1 => Seq("xs" -> JNull)
+        case 2 => Seq("xs" -> JArray.of())
+        case _ => Seq("xs" -> JArray((0 until 1 + r.nextInt(4)).map(element(i, _)).toVector))
+      }
+      JObject((Seq("id" -> JLong(id.toLong), "g" -> JLong((id % 3).toLong)) ++ xs).toVector)
+    }
+    val xs = Expr.path("t.xs")
+    val count = Agg("count", null, "c")
+    def grouped(pipe: List[PipeOp], keys: Seq[(String, Expr)], aggs: Agg*) =
+      PlanSpec(pipe, group = Some(GroupSpec(keys, aggs)))
+    val unnest = UnnestOp(xs, "x")
+    val plans = Seq(
+      "sub-path" -> grouped(List(unnest), Nil, count,
+        Agg("max", Expr.path("x.a"), "mx"), Agg("min", Expr.path("x.a"), "mn")),
+      "unused" -> grouped(List(unnest), Seq("g" -> Expr.path("t.g")), count),
+      "some" -> grouped(List(FilterOp(ExistsIn(xs, "x", Cmp(">=", Expr.path("x.a"), Lit(JLong(2)))))),
+        Seq("g" -> Expr.path("t.g")), count),
+      "nested" -> grouped(List(unnest, UnnestOp(Expr.path("x.n"), "y")), Seq("y" -> Var("y")), count),
+      "key" -> grouped(List(unnest), Seq("b" -> Expr.path("x.b")), count, Agg("max", Expr.path("x.a"), "mx")),
+      "direct" -> PlanSpec(List(unnest), select = Seq("id" -> Expr.path("t.id"), "a" -> Expr.path("x.a"),
+        "n" -> Func("array_count", List(xs)))))
+    val batches = Seq((0 until 40).map(i => record(i, i)), (40 until 80).map(i => record(i, i)),
+      (80 until 100).map(i => record(i, i)) ++ (0 until 10).map(i => record(i, 80 + i)))
+    val built = LayoutKind.all.map { layout =>
+      val dir = java.nio.file.Files.createTempDirectory(s"eng-narrow-${layout.name}").toFile
+      val ds = new LsmDataset("narrow", dir, layout, LsmConfig(pageSize = 4 * 1024,
+        memBudgetBytes = 1L << 20, amaxLeafRecords = 16), new BufferCache(256))
+      batches.zipWithIndex.foreach { case (b, i) => b.foreach(ds.upsert); if (i < 2) ds.flush() }
+      layout -> ds
+    }.toMap
+    val apax = built(LayoutKind.Apax)
+    val cols = (name: String) => Engine.neededColumns(apax, plans.toMap.apply(name)).map(apax.schema.column(_).path).toSet
+    // `b` is the array's first leaf; `a` became a union of long and double.
+    assert(cols("unused") == Set("g", "xs.[*].b"), "one leaf counts the elements")
+    assert(cols("sub-path") == apax.schema.columns.map(_.path).filter(p => p == "xs.[*].b" || p.startsWith("xs.[*].object.a")).toSet)
+    assert(cols("sub-path").size == 3)
+    for ((name, plan) <- plans) {
+      def sorted(r: QueryResult) = r.rows.map(Tagged.row).sorted
+      val want = sorted(Engine.run(built(LayoutKind.Open), plan, ExecMode.Interpreted))
+      assert(want.nonEmpty, name)
+      for (layout <- LayoutKind.all; mode <- Seq(ExecMode.Interpreted, ExecMode.CodeGen))
+        assert(sorted(Engine.run(built(layout), plan, mode)) == want, s"$name layout=${layout.name} mode=$mode")
     }
   }
 
