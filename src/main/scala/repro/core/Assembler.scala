@@ -42,6 +42,9 @@ final class Assembler(schema: Schema, projection: Array[Int]) {
 
   private lazy val root: Node = compile(schema.root)
 
+  /** The reader slot of column `columnId`; -1 when it is not projected. */
+  def slot(columnId: Int): Int = if (columnId < slotOf.length) slotOf(columnId) else -1
+
   /** One whole record: every projected leaf. */
   def record(rs: Array[ColumnChunkReader]): JObject =
     if (root == null) Empty
@@ -55,7 +58,7 @@ final class Assembler(schema: Schema, projection: Array[Int]) {
 
   private def compile(node: SchemaNode): Node = node match {
     case at: AtomicNode =>
-      val slot = if (at.columnId < slotOf.length) slotOf(at.columnId) else -1 // a column added since
+      val slot = this.slot(at.columnId) // -1 also for a column added since
       if (slot < 0) null
       else at.tpe match {
         case repro.encoding.AtomicType.TLong   => new LongLeaf(at.ownLevel, slot)

@@ -194,6 +194,12 @@ final class ColumnChunkReader private (val meta: ColumnMeta, bytes: Array[Byte],
     vals.skip(present)
   }
 
+  /** Skips one element of the array at index `j` of this column's array
+    * chain (0 = outermost): its def levels, its delimiters of deeper arrays
+    * and its values, but not the delimiter that may follow it.
+    */
+  def skipItem(j: Int): Unit = if (!absent) vals.skip(skipElement(j))
+
   private def skipStructuredRecord(): Int = {
     val d0 = peekDef()
     if (d0 < meta.arrayLevels(0) + 1) { nextDef(); 0 }

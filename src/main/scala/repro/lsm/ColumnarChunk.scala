@@ -58,23 +58,37 @@ abstract class ColumnarHandle(seq: Long, meta: ComponentMeta, file: PagedFile, m
   }
 }
 
-/** Column readers over one chunk's live records, which only move forward:
-  * positioning them at the `live`-th live record skips the ones before it
-  * in one batch. The last record assembled is kept, so a repeated key reads
-  * it again.
+/** Column readers over one chunk's live records, which only move forward.
+  * Each reader keeps its own position: asking reader `i` for the `live`-th
+  * live record skips, in one batch, the records it was not asked for since
+  * (a record a filter rejected before that column was read). All readers
+  * are opened together, when the first one is asked for. The last record
+  * assembled is kept, so a repeated key reads it again.
   */
 private final class ChunkRecords(c: ColumnarChunk, columns: Array[ColumnMeta]) {
   private val readers = columns.map(c.reader)
-  private var pos = 0 // live records the readers have passed
+  private val pos = new Array[Int](readers.length) // live records reader i has passed
   private var lastSlot = -1
   private var lastRecord: JObject = _
 
-  /** The readers, positioned at the `live`-th live record. The caller reads
-    * that record from each of them, once.
+  /** Reader `i`, positioned at the `live`-th live record. The caller reads
+    * that record from it once; asking again for the same record returns it
+    * as that read left it.
     */
+  def reader(i: Int, live: Int): ColumnChunkReader = {
+    val r = readers(i)
+    val p = pos(i)
+    if (live >= p) {
+      if (live > p) r.skipRecords(live - p)
+      pos(i) = live + 1
+    } else require(live == p - 1, s"column readers only move forward (record $live, reader at $p)")
+    r
+  }
+
+  /** Every reader, positioned at the `live`-th live record. */
   def at(live: Int): Array[ColumnChunkReader] = {
-    if (live > pos) readers.foreach(_.skipRecords(live - pos))
-    pos = live + 1
+    var i = 0
+    while (i < readers.length) { reader(i, live); i += 1 }
     readers
   }
 
@@ -126,10 +140,16 @@ final class ColumnarCursor(h: ColumnarHandle, columns: Array[ColumnMeta], zone: 
 
   override def leafPruned: Boolean = pruned
 
-  override def readers(): Array[ColumnChunkReader] = {
+  override def columnar: Boolean = true
+
+  override def readers(): Array[ColumnChunkReader] = chunkRecords.at(live)
+
+  override def reader(i: Int): ColumnChunkReader = chunkRecords.reader(i, live)
+
+  private def chunkRecords: ChunkRecords = {
     require(!isAntimatter, "anti-matter entries have no columns")
     if (records == null) records = new ChunkRecords(c, columns)
-    records.at(live)
+    records
   }
 }
 

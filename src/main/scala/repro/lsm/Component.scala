@@ -167,6 +167,13 @@ trait CompCursor {
     * (Open/VB/memory), which expose `record()` instead.
     */
   def readers(): Array[ColumnChunkReader] = null
+  /** True for columnar sources, which expose [[readers]] and [[reader]]. */
+  def columnar: Boolean = false
+  /** Projected column reader `i` alone, positioned at the entry (columnar
+    * sources only): readers not asked for skip the entry later, in a batch.
+    * The caller reads the entry from it once.
+    */
+  def reader(i: Int): ColumnChunkReader = null
   /** The decoded record (row-major sources only). */
   def record(): JObject = null
 }

@@ -7,9 +7,10 @@ import scala.collection.mutable
 /** One scan result after LSM reconciliation. A tuple from a columnar
   * component is read from its projected column readers, exactly once: by
   * [[readers]], [[record]] or [[shapes]], and a second of these raises an
-  * error ([[record]] and [[shapes]] keep their result for repeated calls).
-  * A row-major tuple (Open/VB, or the memory component) has no readers and
-  * is read through [[record]].
+  * error ([[record]] and [[shapes]] keep their result for repeated calls),
+  * or reader by reader through [[reader]], which leaves the readers it is
+  * not asked for to skip the record later. A row-major tuple (Open/VB, or
+  * the memory component) has no readers and is read through [[record]].
   */
 trait ScanTuple {
   def key: Long
@@ -20,6 +21,13 @@ trait ScanTuple {
     * from each reader once. Null for row-major tuples.
     */
   def readers(): Array[ColumnChunkReader]
+  /** True when the tuple comes from a columnar component. */
+  def columnar: Boolean
+  /** Projected column reader `i` alone (in the order of [[readers]]),
+    * positioned at this record; the caller reads the record from it once.
+    * Null for row-major tuples.
+    */
+  def reader(i: Int): ColumnChunkReader
   /** Per-global-columnId shapes of the projected columns (columnar layouts;
     * null for row/memory tuples).
     */
@@ -276,6 +284,8 @@ final class LsmDataset(
           private var rs: Array[ColumnChunkReader] = _
           private var cachedShapes: Array[Shape] = _
           private var cachedRecord: JObject = _
+          def columnar: Boolean = winner.columnar
+          def reader(i: Int): ColumnChunkReader = winner.reader(i)
           def readers(): Array[ColumnChunkReader] = {
             if (!taken) { rs = winner.readers(); taken = true }
             else if (rs != null) throw new IllegalStateException("a columnar tuple's readers are read once")

@@ -35,8 +35,11 @@ object ExecMode {
     */
   case object Interpreted extends ExecMode
   /** §5's code generation (Truffle substituted by closure specialization):
-    * accessors resolved against the schema once, operators fused up to the
-    * GROUP BY pipeline breaker, no record assembly on columnar layouts.
+    * accessors resolved against the schema once into typed slots, read
+    * straight from the column readers on columnar layouts, filter-first;
+    * typed kernels for comparisons with literals, MAX/MIN and UNNEST/SOME
+    * over element sub-paths; operators fused up to the GROUP BY pipeline
+    * breaker.
     */
   case object CodeGen extends ExecMode
 }
@@ -46,12 +49,18 @@ object Engine {
 
   // ------------------------------------------------------- plan analysis
 
-  private def allExprs(plan: PlanSpec): Seq[Expr] =
-    plan.pipeline.flatMap {
-      case FilterOp(p)    => Seq(p)
-      case UnnestOp(a, _) => Seq(a)
-      case AssignOp(_, e) => Seq(e)
-    } ++ outputExprs(plan)
+  private def allExprs(plan: PlanSpec): Seq[Expr] = plan.pipeline.flatMap(opExprs) ++ outputExprs(plan)
+
+  private def opExprs(op: PipeOp): Seq[Expr] = op match {
+    case FilterOp(p)    => Seq(p)
+    case UnnestOp(a, _) => Seq(a)
+    case AssignOp(_, e) => Seq(e)
+  }
+
+  private def conjuncts(e: Expr): Seq[Expr] = e match {
+    case And(l, r) => conjuncts(l) ++ conjuncts(r)
+    case other     => Seq(other)
+  }
 
   /** The GROUP BY keys and aggregate arguments, and the SELECT list. */
   private def outputExprs(plan: PlanSpec): Seq[Expr] =
@@ -114,21 +123,14 @@ object Engine {
   }
 
   /** The record-rooted path `e` spells (`t` is Nil), if it is one. */
-  private def rootPath(e: Expr): Option[List[String]] = e match {
-    case Var(RootVar) => Some(Nil)
-    case Path(b, f)   => rootPath(b).map(_ :+ f)
-    case _            => None
-  }
+  private def rootPath(e: Expr): Option[List[String]] = Expr.pathBelow(e, RootVar)
 
   /** Zone-map predicate for AMAX leaf skipping (§4.4): conjuncts of the form
-    * `t.field <op> literal` on scalar, non-union columns.
+    * `t.field <op> literal` on scalar, non-union columns (on a double column
+    * the upper bounds only).
     */
   def zonePredicate(ds: LsmDataset, plan: PlanSpec): AmaxLayout.ZonePredicate = {
     if (ds.layout != LayoutKind.Amax) return null
-    def conjuncts(e: Expr): Seq[Expr] = e match {
-      case And(l, r) => conjuncts(l) ++ conjuncts(r)
-      case other     => Seq(other)
-    }
     val ranges = mutable.ArrayBuffer.empty[(ColumnMeta, JValue, JValue)]
     // Only filters before any unnest still refer to whole-record ranges.
     plan.pipeline.takeWhile(!_.isInstanceOf[UnnestOp]).foreach {
@@ -140,10 +142,14 @@ object Engine {
                 case Some(at: AtomicNode) if at.columnId >= 0 =>
                   val m = ds.schema.column(at.columnId)
                   if (m.arrayLevels.isEmpty && typeMatches(m.tpe, v)) {
+                    // A double column's min/max are kept with `<`/`>`, which
+                    // pass over NaN, the largest double under Double.compare:
+                    // they bound the column from above only.
+                    val lo = if (m.tpe == AtomicType.TDouble) JNull else v
                     op match {
-                      case ">" | ">=" => ranges += ((m, v, JNull))
+                      case ">" | ">=" => if (lo != JNull) ranges += ((m, lo, JNull))
                       case "<" | "<=" => ranges += ((m, JNull, v))
-                      case "=="       => ranges += ((m, v, v))
+                      case "=="       => ranges += ((m, lo, v))
                       case _          => ()
                     }
                   }
@@ -304,19 +310,6 @@ object Engine {
     result(plan, table, outRows)
   }
 
-  /** The value at `path` below `v`: NULL where an object lacks the field or
-    * a non-object is in the way.
-    */
-  private def walk(v: JValue, path: Array[String]): JValue = {
-    var cur = v
-    var i = 0
-    while (i < path.length) {
-      cur = cur match { case o: JObject => o.get(path(i)).getOrElse(JNull); case _ => JNull }
-      i += 1
-    }
-    cur
-  }
-
   private def existsVars(e: Expr): List[String] = e match {
     case ExistsIn(a, v, p) => v :: existsVars(a) ::: existsVars(p)
     case Cmp(_, l, r)      => existsVars(l) ::: existsVars(r)
@@ -329,130 +322,258 @@ object Engine {
 
   // ------------------------------------------------------ compiled engine
 
+  private def varsIn(e: Expr): List[String] = e match {
+    case Var(n)            => List(n)
+    case Path(b, _)        => varsIn(b)
+    case Lit(_)            => Nil
+    case Cmp(_, l, r)      => varsIn(l) ++ varsIn(r)
+    case And(l, r)         => varsIn(l) ++ varsIn(r)
+    case Or(l, r)          => varsIn(l) ++ varsIn(r)
+    case Func(_, as)       => as.flatMap(varsIn)
+    case ExistsIn(a, _, p) => varsIn(a) ++ varsIn(p)
+  }
+
+  /** §5's compiled pipeline over typed slots. Every distinct accessor path
+    * is a [[Slot]]: a record-rooted path, or a sub-path of the variable of
+    * an UNNEST or SOME that is stepped element by element ([[Elements]]).
+    * On a columnar tuple a path to an atomic leaf, or to a union of them,
+    * is read typed from its column readers; another path is built by the
+    * assembler from its projected leaves, and a path below another one walks
+    * that one's value. A row-major tuple fills the same slots by walking its
+    * decoded record.
+    *
+    * Record slots are filled late, just before the first filter conjunct
+    * that reads them (all the rest before the first UNNEST or the
+    * terminal), so a record a conjunct rejects has its other columns
+    * skipped, never decoded. Kernels run on the slots: filter conjuncts
+    * `slot <op> literal` ([[Slot.test]]), MAX/MIN into [[GroupTable]]'s
+    * typed accumulators, and the stepped UNNEST/SOME. Everything else is an
+    * [[Expr.compile]] closure over the boxed values of the slots it reads;
+    * the pipeline up to the GROUP BY breaker is one chain of closures.
+    */
   private def runCodeGen(ds: LsmDataset, plan: PlanSpec, projection: Array[Int],
                          scanIter: Iterator[ScanTuple]): QueryResult = {
-    // Distinct record-rooted paths become pre-resolved accessor slots. A path
-    // with no proper prefix among them is a read root: on columnar tuples it
-    // is assembled straight from the column readers, its projected leaves
-    // only (§5: no record assembly). A longer path walks its root's value, so
-    // each leaf is read once per tuple. Row-major tuples walk the record.
-    val paths = allExprs(plan).flatMap(Expr.rootPaths(_, RootVar)).toSet.toVector
-    val pathSlots = paths.indices.map(i => s"$$p$i").toVector
-    val pathIndex: Map[List[String], Int] = paths.zipWithIndex.toMap
-    val roots = paths.filter(p => !paths.exists(q => q.length < p.length && p.startsWith(q))).toArray
-    val rootOf = paths.map(p => roots.indexWhere(r => p.startsWith(r))).toArray
-    val rest = paths.indices.map(i => paths(i).drop(roots(rootOf(i)).length).toArray).toArray
-    val pk = List(ds.pkField)
     val asm = if (ds.layout.isColumnar) ds.assembler(projection) else null
-    val columnReads: Array[Assembler.Node] = roots.map { r =>
-      if (asm == null || r.isEmpty || r == pk) null else ds.schema.nodeAt(r).map(asm.at).orNull
-    }
-    val readsColumns = asm != null && !roots.contains(Nil)
-    val isPk = roots.map(_ == pk)
-    val rootSegs = roots.map(_.toArray)
-    val rootVals = new Array[JValue](roots.length)
+    val exprs = allExprs(plan)
+    val first = plan.pipeline.indexWhere(_.isInstanceOf[UnnestOp])
+    val early = if (first < 0) plan.pipeline else plan.pipeline.take(first)
 
-    def readRoots(t: ScanTuple): Unit = {
-      val rs = if (readsColumns) t.readers() else null
-      var j = 0
-      while (j < roots.length) {
-        rootVals(j) =
-          if (isPk(j)) JLong(t.key)
-          else if (rs == null) walk(t.record(), rootSegs(j))
-          else {
-            val n = columnReads(j)
-            val v = if (n == null) null else n.read(rs)
-            if (v == null) JNull else v
-          }
-        j += 1
+    // Stepped iterations: the first UNNEST and the SOMEs that are filter
+    // conjuncts before it run once per record. One is stepped when its
+    // array is a record-rooted path that no other path of the plan
+    // overlaps, and its variable is bound once and used only through
+    // sub-paths, all inside its scope.
+    val bound = plan.pipeline.collect { case UnnestOp(_, v) => v; case AssignOp(v, _) => v } ++
+      exprs.flatMap(existsVars)
+    val recordUses = exprs.flatMap(Expr.pathUses(_, RootVar))
+    def steppable(arr: Expr, v: String, scope: Seq[Expr]): Boolean = rootPath(arr).exists { p =>
+      val uses = scope.flatMap(Expr.pathUses(_, v))
+      p.nonEmpty && v != RootVar && bound.count(_ == v) == 1 && !uses.contains(Nil) &&
+        uses.length == exprs.flatMap(Expr.pathUses(_, v)).length &&
+        recordUses.count(q => q.startsWith(p) || p.startsWith(q)) == 1
+    }
+    val steppedSomes: Seq[ExistsIn] = early.flatMap {
+      case FilterOp(p) => conjuncts(p).collect { case e @ ExistsIn(a, v, pred) if steppable(a, v, Seq(pred)) => e }
+      case _           => Nil
+    }
+    val unnestScope = plan.pipeline.drop(first + 1).flatMap(opExprs) ++ outputExprs(plan)
+    val steppedUnnest: Option[UnnestOp] = plan.pipeline.lift(first).collect {
+      case u @ UnnestOp(a, v) if steppable(a, v, unnestScope) => u
+    }
+    val steppedArrays = (steppedSomes.map(_.arr) ++ steppedUnnest.map(_.arr)).flatMap(rootPath).toSet
+
+    // Slots, and how a columnar tuple fills each, in fill order per root.
+    val slotOf = mutable.LinkedHashMap.empty[(String, List[String]), Slot]
+    val readOf = mutable.HashMap.empty[Slot, ColumnRead]
+    val parentOf = mutable.HashMap.empty[Slot, Slot]
+    def slotsFor(root: String, paths: Seq[List[String]], node: List[String] => SchemaNode): Seq[ColumnRead] =
+      paths.distinct.sortBy(_.length).map { p =>
+        val s = new Slot(s"$$${slotOf.size}", p.toArray)
+        slotOf((root, p)) = s
+        val read = paths.filter(q => q.length < p.length && p.startsWith(q)).sortBy(_.length).headOption match {
+          case Some(q) =>
+            parentOf(s) = slotOf((root, q))
+            new ColumnRead.Below(s, slotOf((root, q)), p.drop(q.length).toArray)
+          case None if root == RootVar && p.isEmpty              => new ColumnRead.Record(s)
+          case None if root == RootVar && p == List(ds.pkField) => new ColumnRead.Key(s)
+          case None                                             => ColumnRead.of(s, node(p), asm)
+        }
+        readOf(s) = read
+        read
+      }
+    val recordReads = slotsFor(RootVar, recordUses.filterNot(steppedArrays), p => ds.schema.nodeAt(p).orNull)
+    val recordSlots = recordReads.map(_.slot.name).toSet
+    def elements(arr: Expr, v: String, scope: Seq[Expr]): Elements = {
+      val p = rootPath(arr).get
+      val an = if (asm == null) null else ds.schema.nodeAt(p) match {
+        case Some(a: ArrayNode) => a
+        case Some(u: UnionNode) => u.alternatives.get(Kind.Arr).collect { case a: ArrayNode => a }.orNull
+        case _                  => null
+      }
+      val item = if (an == null) null else an.item
+      val reads = slotsFor(v, scope.flatMap(Expr.pathUses(_, v)),
+        q => if (item == null) null else Schema.nodeBelow(item, q).orNull)
+      val leaves = if (item == null) Array.emptyIntArray else Schema.leavesUnder(item).map(asm.slot).filter(_ >= 0)
+      val depth = if (leaves.isEmpty) 0 else asm.columns(leaves(0)).arrayLevels.indexOf(an.ownLevel)
+      new Elements(p.toArray, if (an == null) 0 else an.slotLevel, depth, leaves, reads.toArray)
+    }
+    val someSteps = steppedSomes.map(e => e -> elements(e.arr, e.varName, Seq(e.pred))).toMap
+    val unnestSteps = steppedUnnest.map(u => elements(u.arr, u.as, unnestScope))
+
+    val numSlots = slotOf.size
+    val slotByName = slotOf.valuesIterator.map(s => s.name -> s).toMap
+    val names = (slotOf.valuesIterator.map(_.name).toSeq ++ bound).distinct.toArray
+    val env = new Env(new Array[JValue](names.length), names)
+    val cur = new Current(if (asm == null) 0 else asm.columns.length)
+
+    def rewrite(e: Expr): Expr = e match {
+      case Var(_) | Path(_, _) =>
+        def rooted(x: Expr): Option[(String, List[String])] = x match {
+          case Var(n)     => Some((n, Nil))
+          case Path(b, f) => rooted(b).map { case (n, p) => (n, p :+ f) }
+          case _          => None
+        }
+        rooted(e).flatMap(slotOf.get) match {
+          case Some(s) => Var(s.name)
+          case None    => e match { case Path(b, f) => Path(rewrite(b), f); case other => other }
+        }
+      case Cmp(op, l, r)      => Cmp(op, rewrite(l), rewrite(r))
+      case And(l, r)          => And(rewrite(l), rewrite(r))
+      case Or(l, r)           => Or(rewrite(l), rewrite(r))
+      case Func(n, as)        => Func(n, as.map(rewrite))
+      case ExistsIn(a, v, pr) => ExistsIn(rewrite(a), v, rewrite(pr))
+      case other              => other
+    }
+
+    /** A closure over `e` (rewritten); the slots it reads box into `env`. */
+    def closure(e: Expr): Env => JValue = {
+      varsIn(e).foreach(n => slotByName.get(n).foreach(_.expose(env.slots, names.indexOf(n))))
+      Expr.compile(e, names)
+    }
+
+    def test(c: Expr): () => Boolean = c match {
+      case e: ExistsIn if someSteps.contains(e) =>
+        val steps = someSteps(e)
+        val pred = all(conjuncts(e.pred))
+        () => steps.exists(cur, pred)
+      case _ => rewrite(c) match {
+        case Cmp(op, Var(n), Lit(lit)) if slotByName.contains(n) && Slot.test(op, slotByName(n), lit) != null =>
+          Slot.test(op, slotByName(n), lit)
+        case r =>
+          val f = closure(r)
+          () => Expr.truthy(f(env))
       }
     }
-
-    // Rewrite exprs: maximal record-rooted paths → accessor-slot variables.
-    def rewrite(e: Expr): Expr = e match {
-      case p @ (Path(_, _) | Var(RootVar)) =>
-        rootPath(p) match {
-          case Some(path) if pathIndex.contains(path) => Var(pathSlots(pathIndex(path)))
-          case _ => p match {
-            case Path(b, f) => Path(rewrite(b), f)
-            case other      => other
-          }
-        }
-      case Cmp(op, l, r)   => Cmp(op, rewrite(l), rewrite(r))
-      case And(l, r)       => And(rewrite(l), rewrite(r))
-      case Or(l, r)        => Or(rewrite(l), rewrite(r))
-      case Func(n, as)     => Func(n, as.map(rewrite))
-      case ExistsIn(a, v, pr) => ExistsIn(rewrite(a), v, rewrite(pr))
-      case other           => other
+    def all(cs: Seq[Expr]): () => Boolean = {
+      val ts = cs.map(test).toArray
+      () => { var k = 0; while (k < ts.length && ts(k)()) k += 1; k == ts.length }
     }
 
-    val extraVars = plan.pipeline.collect {
-      case UnnestOp(_, as) => as
-      case AssignOp(as, _) => as
-    } ++ plan.pipeline.collect { case FilterOp(p) => existsVars(p) }.flatten ++
-      plan.group.toSeq.flatMap(g => (g.keys.map(_._2) ++ g.aggs.map(_.expr).filter(_ != null)).flatMap(existsVars)) ++
-      plan.select.map(_._2).flatMap(existsVars)
-    val names = (pathSlots ++ extraVars).distinct.toArray
+    // Late materialization: the record slots each step fills first.
+    val filled = mutable.Set.empty[Slot]
+    def fills(es: Seq[Expr]): Array[ColumnRead] = {
+      val out = mutable.ArrayBuffer.empty[ColumnRead]
+      def need(s: Slot): Unit = if (!filled(s)) { parentOf.get(s).foreach(need); filled += s; out += readOf(s) }
+      es.flatMap(Expr.pathUses(_, RootVar)).foreach(p => slotOf.get((RootVar, p)).foreach(need))
+      out.toArray
+    }
+    def rest(): Array[ColumnRead] = { val r = recordReads.filterNot(s => filled(s.slot)).toArray; filled ++= r.map(_.slot); r }
+    def fill(rs: Array[ColumnRead]): Unit = { var i = 0; while (i < rs.length) { cur.fill(rs(i)); i += 1 } }
 
     val g = plan.group
     val table = g.map(groupTable).orNull
     val outRows = mutable.ArrayBuffer.empty[Array[JValue]]
 
-    // Fuse the pipeline into one closure chain ending at the group operator
-    // (the pipeline breaker stays a regular operator, as in Figure 11): keys
-    // and aggregate arguments are evaluated straight into the group's
-    // accumulators. COUNT ignores its argument, so it is not evaluated.
-    val terminal: Env => Unit = g match {
-      case Some(gs) =>
-        val keyFs = gs.keys.map(k => Expr.compile(rewrite(k._2), names)).toArray
-        val aggFs = gs.aggs.map(a =>
-          if (a.kind == "count" || a.expr == null) null else Expr.compile(rewrite(a.expr), names)).toArray
-        val keys = new Array[JValue](keyFs.length) // reused: the table copies a new group's keys
-        env => {
-          var i = 0
-          while (i < keys.length) { keys(i) = keyFs(i)(env); i += 1 }
-          val group = table.groupOf(keys)
-          var a = 0
-          while (a < aggFs.length) {
-            val f = aggFs(a)
-            table.accumulate(a, group, if (f == null) JNull else f(env))
-            a += 1
+    val steps: Seq[(() => Unit) => () => Unit] = plan.pipeline.zipWithIndex.map {
+      case (FilterOp(p), i) =>
+        val cs = conjuncts(p)
+        val fs = cs.map(c => if (first >= 0 && i > first) Array.empty[ColumnRead] else c match {
+          case e: ExistsIn if someSteps.contains(e) => fills(Seq(e.pred))
+          case other                                => fills(Seq(other))
+        }).toArray
+        val ts = cs.map(test).toArray
+        (next: () => Unit) => () => {
+          var k = 0
+          var ok = true
+          while (ok && k < ts.length) { fill(fs(k)); ok = ts(k)(); k += 1 }
+          if (ok) next()
+        }
+      case (AssignOp(as, e), i) =>
+        val fs = if (first >= 0 && i > first) Array.empty[ColumnRead] else fills(Seq(e))
+        val f = closure(rewrite(e))
+        val slot = names.indexOf(as)
+        (next: () => Unit) => () => { fill(fs); env.slots(slot) = f(env); next() }
+      case (UnnestOp(a, as), i) =>
+        val fs = if (i == first) rest() else Array.empty[ColumnRead]
+        if (i == first && unnestSteps.nonEmpty) {
+          val steps = unnestSteps.get
+          (next: () => Unit) => () => { fill(fs); steps.exists(cur, () => { next(); false }) }
+        } else {
+          val f = closure(rewrite(a))
+          val slot = names.indexOf(as)
+          (next: () => Unit) => () => {
+            fill(fs)
+            f(env) match {
+              case JArray(xs) => xs.foreach { x => env.slots(slot) = x; next() }
+              case _          => ()
+            }
           }
         }
-      case None =>
-        val selFs = plan.select.map(s => Expr.compile(rewrite(s._2), names)).toArray
-        env => outRows += selFs.map(_(env))
     }
 
-    val fused: Env => Unit = plan.pipeline.reverse.foldLeft(terminal) { (next, op) =>
-      op match {
-        case FilterOp(p) =>
-          val f = Expr.compile(rewrite(p), names)
-          env => if (Expr.truthy(f(env))) next(env)
-        case AssignOp(as, e) =>
-          val f = Expr.compile(rewrite(e), names)
-          val slot = names.indexOf(as)
-          env => { env.slots(slot) = f(env); next(env) }
-        case UnnestOp(a, as) =>
-          val f = Expr.compile(rewrite(a), names)
-          val slot = names.indexOf(as)
-          env => f(env) match {
-            case JArray(xs) => xs.foreach { x => env.slots(slot) = x; next(env) }
-            case _          => ()
+    // The terminal: GROUP BY keys and aggregate arguments go straight into
+    // the group's accumulators (COUNT evaluates no argument, MAX/MIN over a
+    // slot offer its typed value), or the SELECT row is built.
+    val lastFills = if (first < 0) rest() else Array.empty[ColumnRead]
+    val terminal: () => Unit = g match {
+      case Some(gs) =>
+        val keyFs = gs.keys.map(k => closure(rewrite(k._2))).toArray
+        val keys = new Array[JValue](keyFs.length) // reused: the table copies a new group's keys
+        val aggs: Array[Int => Unit] = gs.aggs.zipWithIndex.map { case (ag, a) =>
+          if (ag.kind == "count" || ag.expr == null) (grp: Int) => table.accumulate(a, grp, JNull)
+          else rewrite(ag.expr) match {
+            case Var(n) if slotByName.contains(n) =>
+              val s = slotByName(n)
+              (grp: Int) => s.tag match {
+                case Slot.Long   => table.offerLong(a, grp, s.long)
+                case Slot.Double => table.offerDouble(a, grp, s.double)
+                case Slot.Str    => table.offerString(a, grp, s.ref.asInstanceOf[String])
+                case Slot.Null   => ()
+                case _           => table.offerOther(a, grp, s.ref.asInstanceOf[JValue])
+              }
+            case r =>
+              val f = closure(r)
+              (grp: Int) => table.accumulate(a, grp, f(env))
           }
-      }
+        }.toArray
+        // Keys that read record slots only are the same for every row of a
+        // tuple: its group is looked up once, at its first row.
+        val perTuple = gs.keys.forall(k => varsIn(rewrite(k._2)).forall(recordSlots))
+        var groupOf: ScanTuple = null
+        var group = 0
+        () => {
+          fill(lastFills)
+          if (!perTuple || (groupOf ne cur.t)) {
+            var i = 0
+            while (i < keys.length) { keys(i) = keyFs(i)(env); i += 1 }
+            group = table.groupOf(keys)
+            groupOf = cur.t
+          }
+          var a = 0
+          while (a < aggs.length) { aggs(a)(group); a += 1 }
+        }
+      case None =>
+        val selFs = plan.select.map(s => closure(rewrite(s._2))).toArray
+        () => { fill(lastFills); outRows += selFs.map(_(env)) }
     }
+    val head = steps.foldRight(terminal)((step, next) => step(next))
 
-    val slots = new Array[JValue](names.length)
-    val env = new Env(slots, names)
     while (scanIter.hasNext) {
       val t = scanIter.next()
       if (!t.pruned) {
-        readRoots(t)
-        var i = 0
-        while (i < paths.length) { slots(i) = walk(rootVals(rootOf(i)), rest(i)); i += 1 }
-        java.util.Arrays.fill(slots.asInstanceOf[Array[AnyRef]], paths.length, slots.length, JNull)
-        fused(env)
+        cur.reset(t)
+        java.util.Arrays.fill(env.slots.asInstanceOf[Array[AnyRef]], numSlots, names.length, JNull)
+        head()
       }
     }
 
@@ -471,7 +592,12 @@ object Engine {
   *
   * Each aggregate keeps a column of accumulators indexed by group: COUNT a
   * `long`, MAX/MIN a value that NULL and values [[Expr.order]] cannot order
-  * with it leave unchanged.
+  * with it leave unchanged. A value [[accumulate]]s boxed is compared by
+  * [[Expr.order]] itself. CodeGen's MAX/MIN over a typed slot offer its
+  * value unboxed instead ([[offerLong]], [[offerDouble]], [[offerString]],
+  * [[offerOther]]), kept as a kind tag and a `long` (a long, or a double's
+  * bits) or the String or other value, and compared as [[Expr.order]]
+  * does. An aggregate is fed one way or the other in a run.
   */
 private[query] final class GroupTable(numKeys: Int, kinds: Seq[String]) {
   import GroupTable._
@@ -489,8 +615,13 @@ private[query] final class GroupTable(numKeys: Int, kinds: Seq[String]) {
   private var hashes = new Array[Int](capacity)
   // Open addressing with linear probing, at most half full: group + 1, 0 = free.
   private var slots = new Array[Int](2 * capacity)
-  private val counts = Array.tabulate(code.length)(a => if (code(a) == Count) new Array[Long](capacity) else null)
-  // MAX/MIN accumulators; null until the group sees a value.
+  // COUNT: the count. Typed MAX/MIN: the long or the double's bits.
+  private val nums = Array.fill(code.length)(new Array[Long](capacity))
+  // Typed MAX/MIN: the kind of the value kept (KNone until the group sees
+  // one), and the String or other JValue.
+  private val held = Array.tabulate(code.length)(a => if (code(a) == Count) null else new Array[Byte](capacity))
+  private val refs = Array.tabulate(code.length)(a => if (code(a) == Count) null else new Array[AnyRef](capacity))
+  // Boxed MAX/MIN; null until the group sees a value.
   private val values = Array.tabulate(code.length)(a => if (code(a) == Count) null else new Array[JValue](capacity))
 
   /** The group of one row's key values, added on first sight. A multi-key
@@ -507,11 +638,66 @@ private[query] final class GroupTable(numKeys: Int, kinds: Seq[String]) {
     }
 
   /** Folds `v` into aggregate `a` of group `g` (COUNT ignores `v`). */
-  def accumulate(a: Int, g: Int, v: JValue): Unit = code(a) match {
-    case Count => counts(a)(g) += 1
-    case Max   => offer(values(a), g, v, max = true)
-    case _     => offer(values(a), g, v, max = false)
+  def accumulate(a: Int, g: Int, v: JValue): Unit =
+    if (code(a) == Count) nums(a)(g) += 1
+    else if (v ne JNull) {
+      val acc = values(a)
+      val cur = acc(g)
+      if (cur == null) acc(g) = v
+      else {
+        val c = Expr.order(v, cur)
+        if (wins(a, c)) acc(g) = v
+      }
+    }
+
+  /** Folds a long into MAX/MIN `a` of group `g`. */
+  def offerLong(a: Int, g: Int, x: Long): Unit = {
+    val k = held(a)(g)
+    val c = k match {
+      case KLong   => java.lang.Long.compare(x, nums(a)(g))
+      case KDouble => Expr.compareLongDouble(x, java.lang.Double.longBitsToDouble(nums(a)(g)))
+      case _       => 0
+    }
+    if (k == KNone || wins(a, c)) { held(a)(g) = KLong; nums(a)(g) = x }
   }
+
+  /** Folds a double into MAX/MIN `a` of group `g`. */
+  def offerDouble(a: Int, g: Int, x: Double): Unit = {
+    val k = held(a)(g)
+    val c = k match {
+      case KLong   => -Expr.compareLongDouble(nums(a)(g), x)
+      case KDouble => java.lang.Double.compare(x, java.lang.Double.longBitsToDouble(nums(a)(g)))
+      case _       => 0
+    }
+    if (k == KNone || wins(a, c)) { held(a)(g) = KDouble; nums(a)(g) = java.lang.Double.doubleToRawLongBits(x) }
+  }
+
+  /** Folds a string into MAX/MIN `a` of group `g`. */
+  def offerString(a: Int, g: Int, x: String): Unit = {
+    val k = held(a)(g)
+    val c = k match {
+      case KStr  => x.compareTo(refs(a)(g).asInstanceOf[String])
+      case _     => 0
+    }
+    if (k == KNone || wins(a, c)) { held(a)(g) = KStr; refs(a)(g) = x }
+  }
+
+  /** Folds a boolean, array or object into MAX/MIN `a` of group `g`: only a
+    * kept value of its own kind orders with it.
+    */
+  def offerOther(a: Int, g: Int, v: JValue): Unit = {
+    val k = held(a)(g)
+    val c = k match {
+      case KOther => Expr.order(v, refs(a)(g).asInstanceOf[JValue])
+      case _      => 0
+    }
+    if (k == KNone || wins(a, c)) { held(a)(g) = KOther; refs(a)(g) = v }
+  }
+
+  /** Whether a value that compares `c` against the kept one replaces it
+    * ([[Expr.Incomparable]] never does).
+    */
+  private def wins(a: Int, c: Int): Boolean = if (code(a) == Max) c > 0 else c < 0 && c != Expr.Incomparable
 
   /** One row's materialized keys and aggregate arguments. */
   def update(keys: Array[JValue], vals: Array[JValue]): Unit = {
@@ -528,22 +714,18 @@ private[query] final class GroupTable(numKeys: Int, kinds: Seq[String]) {
     var a = 0
     while (a < code.length) {
       row(numKeys + a) =
-        if (code(a) == Count) JLong(counts(a)(g))
-        else { val v = values(a)(g); if (v == null) JNull else v }
+        if (code(a) == Count) JLong(nums(a)(g))
+        else held(a)(g) match {
+          case KNone   => val v = values(a)(g); if (v == null) JNull else v
+          case KLong   => JLong(nums(a)(g))
+          case KDouble => JDouble(java.lang.Double.longBitsToDouble(nums(a)(g)))
+          case KStr    => JString(refs(a)(g).asInstanceOf[String])
+          case _       => refs(a)(g).asInstanceOf[JValue]
+        }
       a += 1
     }
     row
   }
-
-  private def offer(acc: Array[JValue], g: Int, v: JValue, max: Boolean): Unit =
-    if (v ne JNull) {
-      val cur = acc(g)
-      if (cur == null) acc(g) = v
-      else {
-        val c = Expr.order(v, cur)
-        if (c != Expr.Incomparable && (if (max) c > 0 else c < 0)) acc(g) = v
-      }
-    }
 
   private def find(key: AnyRef, h: Int): Int = {
     val mask = slots.length - 1
@@ -587,8 +769,12 @@ private[query] final class GroupTable(numKeys: Int, kinds: Seq[String]) {
     hashes = java.util.Arrays.copyOf(hashes, capacity)
     var a = 0
     while (a < code.length) {
-      if (counts(a) != null) counts(a) = java.util.Arrays.copyOf(counts(a), capacity)
-      else values(a) = java.util.Arrays.copyOf(values(a), capacity)
+      nums(a) = java.util.Arrays.copyOf(nums(a), capacity)
+      if (code(a) != Count) {
+        held(a) = java.util.Arrays.copyOf(held(a), capacity)
+        refs(a) = java.util.Arrays.copyOf(refs(a), capacity)
+        values(a) = java.util.Arrays.copyOf(values(a), capacity)
+      }
       a += 1
     }
     slots = new Array[Int](2 * capacity)
@@ -601,6 +787,13 @@ private[query] object GroupTable {
   private final val Count = 0
   private final val Max = 1
   private final val Min = 2
+
+  // The kind of a kept MAX/MIN value.
+  private final val KNone: Byte = 0
+  private final val KLong: Byte = 1
+  private final val KDouble: Byte = 2
+  private final val KStr: Byte = 3
+  private final val KOther: Byte = 4
 
   /** Group-key equality: [[JValue]] equality, except that NaN equals NaN,
     * also inside arrays and objects.

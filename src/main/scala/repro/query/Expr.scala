@@ -3,9 +3,13 @@ package repro.query
 import repro.core._
 
 /** Minimal SQL++-flavoured expression language for the evaluation queries
-  * (Appendix A). Values are dynamically typed [[JValue]]s; comparisons over
-  * incompatible types yield NULL (§5's `10 > "ten"` example), and predicates
-  * treat non-true as false.
+  * (Appendix A). Values are dynamically typed [[JValue]]s, and predicates
+  * treat non-true as false. A comparison of two values that [[Expr.order]]
+  * cannot order (different kinds, a NULL or missing value, an array or an
+  * object) is decided by value equality alone: `==` is TRUE if the two
+  * values are equal and `!=` is TRUE if they differ, so a missing value
+  * `!=` a literal is TRUE; every other case yields NULL, as §5's
+  * `10 > "ten"` does.
   */
 sealed trait Expr
 final case class Var(name: String) extends Expr
@@ -60,7 +64,7 @@ object Expr {
     case _ => Incomparable
   }
 
-  private def compareLongDouble(a: Long, b: Double): Int = {
+  private[query] def compareLongDouble(a: Long, b: Double): Int = {
     // Rounding is monotone, so a differing sign is exact; on a tie b is an
     // integral double in [-2^63, 2^63], and only 2^63 (= Long.MaxValue.toDouble)
     // lies above every long.
@@ -212,21 +216,29 @@ object Expr {
       }
   }
 
-  /** All record-rooted paths referenced by `e` (for projection analysis). */
-  def rootPaths(e: Expr, rootVar: String): Set[List[String]] = {
-    def walkPath(p: Expr, acc: List[String]): Option[List[String]] = p match {
-      case Var(`rootVar`) => Some(acc)
-      case Path(b, f)     => walkPath(b, f :: acc)
-      case _              => None
-    }
-    e match {
-      case p @ (Path(_, _) | Var(_)) => walkPath(p, Nil).toSet
-      case Lit(_)        => Set.empty
-      case Cmp(_, l, r)  => rootPaths(l, rootVar) ++ rootPaths(r, rootVar)
-      case And(l, r)     => rootPaths(l, rootVar) ++ rootPaths(r, rootVar)
-      case Or(l, r)      => rootPaths(l, rootVar) ++ rootPaths(r, rootVar)
-      case Func(_, as)   => as.flatMap(rootPaths(_, rootVar)).toSet
-      case ExistsIn(a, _, p) => rootPaths(a, rootVar) ++ rootPaths(p, rootVar)
-    }
+  /** The path below variable `rootVar` that `e` spells (`rootVar` itself
+    * is Nil), if it is one.
+    */
+  def pathBelow(e: Expr, rootVar: String): Option[List[String]] = e match {
+    case Var(`rootVar`) => Some(Nil)
+    case Path(b, f)     => pathBelow(b, rootVar).map(_ :+ f)
+    case _              => None
   }
+
+  /** The maximal paths below variable `rootVar` in `e`, one per occurrence. */
+  def pathUses(e: Expr, rootVar: String): List[List[String]] = e match {
+    case Var(_) | Path(_, _) => pathBelow(e, rootVar) match {
+      case Some(p) => List(p)
+      case None    => e match { case Path(b, _) => pathUses(b, rootVar); case _ => Nil }
+    }
+    case Lit(_)            => Nil
+    case Cmp(_, l, r)      => pathUses(l, rootVar) ++ pathUses(r, rootVar)
+    case And(l, r)         => pathUses(l, rootVar) ++ pathUses(r, rootVar)
+    case Or(l, r)          => pathUses(l, rootVar) ++ pathUses(r, rootVar)
+    case Func(_, as)       => as.flatMap(pathUses(_, rootVar))
+    case ExistsIn(a, _, p) => pathUses(a, rootVar) ++ pathUses(p, rootVar)
+  }
+
+  /** All record-rooted paths referenced by `e` (for projection analysis). */
+  def rootPaths(e: Expr, rootVar: String): Set[List[String]] = pathUses(e, rootVar).toSet
 }
